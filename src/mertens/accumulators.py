@@ -156,11 +156,8 @@ def accumulate(
             theta=theta.total, theta_comp=theta.comp,
         ))
 
-    while pending and pending[0] < start:
-        record(pending.pop(0))
-
     for seg in primes.iter_segments(
-        n_max, segment_size=segment_size, workers=workers
+        n_max, segment_size=segment_size, workers=workers, start=start
     ):
         p_all = seg.primes()
         if start > seg.lo:

@@ -40,11 +40,6 @@ class ConstantsBundle:
         }
 
 
-def _check_tol(tol: float) -> None:
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise ValueError(f"tol must be in [{TOL_MIN}, {TOL_MAX}], got {tol}")
-
-
 def _series_cutoff(tol: float) -> int:
     # ln zeta(n) < zeta(n) - 1 < 2^(1-n); the tail past n_max is below
     # sum_{n>n_max} 2^(1-n)/n < 2^(2-n_max)/(n_max+1).
@@ -60,7 +55,8 @@ def compute_H(tol: float):
     Returns (EvaluatedReal, ledger, tail_bound); the sign convention
     keeps H positive, so the n=2 ledger entry is +ln(zeta(2))/2.
     """
-    _check_tol(tol)
+    if not TOL_MIN <= tol <= TOL_MAX:
+        raise ValueError(f"tol must be in [{TOL_MIN}, {TOL_MAX}], got {tol}")
     n_max = _series_cutoff(tol)
     mu = primes.moebius_up_to(n_max)
     ledger = []
@@ -79,7 +75,6 @@ def compute_H(tol: float):
 
 def compute_B(tol: float) -> ConstantsBundle:
     """B = gamma - H, bundled with the H ledger and combined error bound."""
-    _check_tol(tol)
     H, ledger, tail_bound = compute_H(tol)
     gamma = special.euler_gamma()
     B = EvaluatedReal(gamma.value - H.value, gamma.err_bound + H.err_bound)
@@ -96,8 +91,7 @@ def H_direct(prime_limit: int) -> EvaluatedReal:
     """
     if prime_limit < 10**3:
         raise ValueError(f"prime_limit must be >= 1000, got {prime_limit}")
-    p = np.concatenate([s.primes() for s in primes.iter_segments(prime_limit)])
-    p = p.astype(np.float64)
+    p = primes.primes_up_to(prime_limit).astype(np.float64)
     parts = []
     k = 2
     while True:

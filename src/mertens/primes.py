@@ -1,8 +1,12 @@
 """Prime generation, Moebius values, and factorial prime valuations.
 
 Everything downstream (running sums, constants, bound checks) pulls its
-primes from here.  The sieve is segmented and odd-only so that limits up
-to 2^34 never materialize a full bitmap; segments tile [2, n) exactly.
+primes from here, through one of two sources: ``iter_segments`` streams
+them segment by segment, and ``primes_up_to`` materialises them as one
+array.  The sieve is segmented and odd-only so that limits up to 2^34
+never materialize a full bitmap; segments tile [2, n] exactly, and a
+stream may begin at the segment that contains a given start, so a resumed
+run sieves nothing below its resume point.
 """
 
 from __future__ import annotations
@@ -46,18 +50,6 @@ class PrimeSegment:
         return odds
 
 
-def simple_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit by a plain Eratosthenes sieve (small limits)."""
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
-
-
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> PrimeSegment:
     """Sieve the odd integers of [lo, hi) against the base primes."""
     odd_base = lo | 1
@@ -80,19 +72,23 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> PrimeSegment:
     return PrimeSegment(lo, hi, bits)
 
 
-def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
+def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, workers=1, start=2):
     """Yield PrimeSegments tiling [2, n] in ascending order.
 
-    Segments are independent units of work: with ``workers > 1`` they are
-    sieved concurrently but always yielded in ascending order, so results
-    are identical for any worker count.
+    Segments lie on the fixed grid lo = 2 + k * 2 * segment_size; the
+    first one yielded is the segment that contains ``start``, so
+    segments wholly below ``start`` are never sieved.  Segments are
+    independent units of work: with ``workers > 1`` they are sieved
+    concurrently but always yielded in ascending order, so results are
+    identical for any worker count.
     """
     n = int(n)
     if n < 2:
         return
-    base = simple_sieve(math.isqrt(n))
+    base = primes_up_to(math.isqrt(n))
     span = 2 * segment_size
-    bounds = [(lo, min(lo + span, n + 1)) for lo in range(2, n + 1, span)]
+    first = 2 + max(0, start - 2) // span * span
+    bounds = [(lo, min(lo + span, n + 1)) for lo in range(first, n + 1, span)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(lambda b: _sieve_segment(*b, base), bounds)
@@ -101,10 +97,10 @@ def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, workers=1):
             yield _sieve_segment(lo, hi, base)
 
 
-def primes_up_to(n, segment_size=DEFAULT_SEGMENT_SIZE):
-    """Stream the primes <= n in ascending order, each exactly once."""
-    for seg in iter_segments(n, segment_size=segment_size):
-        yield from (int(p) for p in seg.primes())
+def primes_up_to(n) -> np.ndarray:
+    """The primes <= n, ascending, as one int64 array (empty when n < 2)."""
+    segs = [s.primes() for s in iter_segments(n)]
+    return np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -132,8 +128,7 @@ def moebius_up_to(n: int) -> MoebiusTable:
         raise ValueError(f"n={n} exceeds Moebius table cap {MOEBIUS_MAX}")
     values = np.ones(n + 1, dtype=np.int8)
     values[0] = 0
-    for p in simple_sieve(n):
-        p = int(p)
+    for p in primes_up_to(n).tolist():
         values[p::p] *= -1
         if p * p <= n:
             values[p * p :: p * p] = 0

@@ -94,11 +94,9 @@ def check_theta(series: CheckpointSeries) -> list[BoundReport]:
 # --- chi(x) - chi(x/2) < x ----------------------------------------------
 
 def _theta_table(limit: int):
-    """Primes <= limit and the compensated prefix sums of ln p."""
-    p = np.concatenate([s.primes() for s in primes.iter_segments(limit)]) \
-        if limit >= 2 else np.array([], dtype=np.int64)
-    logs = np.log(p.astype(np.float64)) if len(p) else np.array([])
-    return p, logs
+    """Primes <= limit and their natural logarithms."""
+    p = primes.primes_up_to(limit)
+    return p, np.log(p.astype(np.float64))
 
 
 def _theta_at(p, logs, y: float) -> float:
@@ -206,7 +204,7 @@ def check_legendre_factorial(n: int) -> BoundReport:
     if not 2 <= n <= 10**6:
         raise ValueError(f"n must be in [2, 10^6], got {n}")
     lhs_terms = []
-    for p in primes.primes_up_to(n):
+    for p in primes.primes_up_to(n).tolist():
         lhs_terms.append(primes.legendre_valuation(n, p) * math.log(p))
     lhs = math.fsum(lhs_terms)
     rhs = _log_factorial(n)
@@ -221,12 +219,13 @@ def check_legendre_factorial(n: int) -> BoundReport:
 
 def check_abel_pi_identity(series: CheckpointSeries) -> list[BoundReport]:
     reports = []
+    # One sieve to the largest threshold; each checkpoint takes a prefix.
+    all_p = primes.primes_up_to(max((cp.x for cp in series), default=0))
     for cp in series:
         if cp.x < 2:
             continue
-        p = np.concatenate(
-            [s.primes() for s in primes.iter_segments(cp.x)]
-        ).astype(np.float64)
+        k = int(np.searchsorted(all_p, cp.x, side="right"))
+        p = all_p[:k].astype(np.float64)
         # pi is a step function: the integral of pi(t)/t^2 over [2, x] is
         # an exact finite sum of pi * (1/a - 1/b) pieces.
         counts = np.arange(1, len(p), dtype=np.float64)
@@ -248,7 +247,7 @@ def check_remainder_identity(G: int, rho: float) -> BoundReport:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     s = 1.0 + rho
     full = special.prime_zeta(s)
-    head = math.fsum(p ** -s for p in primes.primes_up_to(G))
+    head = math.fsum(p ** -s for p in primes.primes_up_to(G).tolist())
     prime_tail = full.value - head
     if rho < 1:
         n_tail = special.log_weighted_tail_direct(G, rho)
@@ -315,7 +314,7 @@ def check_mertens_product(G: int) -> BoundReport:
     if G < 3:
         raise ValueError(f"G must be >= 3, got {G}")
     log_product = -math.fsum(
-        math.log1p(-1.0 / p) for p in primes.primes_up_to(G)
+        math.log1p(-1.0 / p) for p in primes.primes_up_to(G).tolist()
     )
     gamma = special.euler_gamma().value
     delta = log_product - gamma - math.log(math.log(G))

@@ -82,6 +82,29 @@ def test_resume_matches_single_run():
     assert extended.checkpoints == full.checkpoints
 
 
+def test_resume_sieves_only_from_the_resume_segment(monkeypatch):
+    n_max, size = 10**5, 2**10
+    schedule = list(range(1000, n_max + 1, 1000))
+    first = accumulate(60_000, schedule[:60], segment_size=size)
+    full = accumulate(n_max, schedule, segment_size=size)
+    sieved = []
+    real = primes.iter_segments
+
+    def spy(n, *args, **kwargs):
+        for seg in real(n, *args, **kwargs):
+            if n == n_max:  # not the nested base-prime sieve
+                sieved.append((seg.lo, seg.hi))
+            yield seg
+
+    monkeypatch.setattr(primes, "iter_segments", spy)
+    extended = accumulators.extend(first, n_max, schedule, segment_size=size)
+    # the resumed stream spans about 20 segments of 2048 integers
+    assert len(sieved) > 10
+    assert all(hi > 60_001 for _, hi in sieved)
+    assert sieved[0][0] <= 60_001
+    assert extended.checkpoints == full.checkpoints
+
+
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
         series = accumulate(10**4, [100, 10**3, 10**4])

@@ -71,6 +71,14 @@ class TestConstants:
         assert main(["constants", "--tol", "1e-16"]) == EXIT_USAGE
         assert main(["constants", "--tol", "0.5"]) == EXIT_USAGE
 
+    def test_verify_rejects_tol_before_sieving(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("accumulate ran before --tol was checked")
+
+        monkeypatch.setattr(cli.accumulators, "accumulate", fail)
+        assert main(["verify", "--max", "2^30", "--tol", "0.5"]) == EXIT_USAGE
+        assert "tol must be in" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_full_run(self, tmp_path, capsys):

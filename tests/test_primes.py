@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +29,37 @@ def test_small_examples():
     assert list(primes.primes_up_to(1)) == []
     assert list(primes.primes_up_to(0)) == []
     assert list(primes.primes_up_to(2)) == [2]
+
+
+def test_array_is_int64():
+    p = primes.primes_up_to(100)
+    assert isinstance(p, np.ndarray) and p.dtype == np.int64
+    assert len(p) == 25
+    for n in (0, 1):
+        empty = primes.primes_up_to(n)
+        assert isinstance(empty, np.ndarray) and empty.dtype == np.int64
+        assert len(empty) == 0
+
+
+def test_only_the_prime_and_sum_layers_stream_segments():
+    # every other module takes its primes from primes_up_to
+    src = pathlib.Path(primes.__file__).parent
+    callers = sorted(
+        f.name for f in src.glob("*.py")
+        if re.search(r"\biter_segments\(", f.read_text())
+    )
+    assert callers == ["accumulators.py", "primes.py"]
+
+
+def test_start_skips_segments_below_it():
+    n, size = 10**5, 2**10
+    every = list(primes.iter_segments(n, segment_size=size))
+    tail = list(primes.iter_segments(n, segment_size=size, start=50_000))
+    assert tail[0].lo <= 50_000 < tail[0].hi
+    # same grid and same bits as the segments of a run from 2
+    for a, b in zip(tail, every[len(every) - len(tail):]):
+        assert (a.lo, a.hi) == (b.lo, b.hi)
+        assert np.array_equal(a.primes(), b.primes())
 
 
 def test_count_at_2_16():
