@@ -1,17 +1,15 @@
-"""Single-pass compensated running sums over the primes, with checkpoints.
+"""Single-pass exact running sums over the primes, with checkpoints.
 
 One sieve pass records pi(x), sum 1/p, sum ln(p)/p, and theta(x) at a
-schedule of thresholds.  Per-chunk sums are exact (math.fsum); chunk
-totals feed a Neumaier accumulator whose carry term is preserved in the
-checkpoint file, so save/load round-trips are value-identical and runs
-are bit-identical for any worker count (the reduction is always in
-ascending prime order).
+schedule of thresholds.  Each chunk of terms is summed by ``exact_sum``
+into exact rational running sums, so a checkpoint depends only on x: not
+on segment size, worker count, resume point or chunking.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -41,34 +39,44 @@ class CheckpointFormatError(ValueError):
         super().__init__(f"line {line}, field {field_name!r}: {message}")
 
 
-class Neumaier:
-    """Compensated accumulator: running sum plus rounding carry."""
+def exact_sum(x: np.ndarray) -> Fraction:
+    """The exact rational sum of a float64 array, in any order.
 
-    __slots__ = ("total", "comp")
+    Each value is split as x = m * 2^e with an integer |m| < 2^53.  The
+    mantissas of each exponent are summed in two int64 limbs, m = hi * 2^26
+    + lo, which cannot overflow below 2^36 values, and the per-exponent
+    totals are combined once in Python integers.  Raises ValueError on NaN,
+    infinity, or 2^36 values or more.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.size >= 1 << 36 or not np.isfinite(x).all():
+        raise ValueError("exact_sum needs fewer than 2^36 finite values")
+    frac, exp = np.frexp(x)
+    mant = (frac * 2.0**53).astype(np.int64)
+    base = int(exp.min(initial=0))  # <= 0, and 0 for an empty array
+    key = exp - base
+    hi = np.zeros(int(key.max(initial=0)) + 1, dtype=np.int64)
+    lo = np.zeros_like(hi)
+    np.add.at(hi, key, mant >> 26)
+    np.add.at(lo, key, mant & ((1 << 26) - 1))
+    limbs = enumerate(zip(hi.tolist(), lo.tolist()))
+    total = sum(((h << 26) + l) << k for k, (h, l) in limbs)
+    return Fraction(total, 1 << (53 - base))
 
-    def __init__(self, total=0.0, comp=0.0):
-        self.total = total
-        self.comp = comp
 
-    def add(self, value: float) -> None:
-        t = self.total + value
-        if abs(self.total) >= abs(value):
-            self.comp += (self.total - t) + value
-        else:
-            self.comp += (value - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.comp
+def _split(total: Fraction) -> tuple[float, float]:
+    """The sum rounded once, and the residual: exact for every streamed sum."""
+    head = float(total)
+    return head, float(total - Fraction(head))
 
 
 @dataclass(frozen=True)
 class SumCheckpoint:
     """All four running prime sums at threshold x.
 
-    Real-valued sums carry their compensation term; the checked value of
-    e.g. sum 1/p is ``recip_sum + recip_comp``.
+    Each real-valued sum is two floats: ``*_sum`` is the exact sum of the
+    float64 terms rounded once and ``*_comp`` the exact residual, so e.g.
+    ``Fraction(recip_sum) + Fraction(recip_comp)`` is the exact sum of 1/p.
     """
 
     x: int
@@ -105,10 +113,6 @@ class CheckpointSeries:
         return len(self.checkpoints)
 
 
-def _chunk_add(acc: Neumaier, values: np.ndarray) -> None:
-    acc.add(math.fsum(values.tolist()))
-
-
 def accumulate(
     n_max,
     schedule,
@@ -134,14 +138,17 @@ def accumulate(
         )
 
     pi = 0
-    recip, logp, theta = Neumaier(), Neumaier(), Neumaier()
+    # exact running sums of 1/p, ln(p)/p and ln p
+    sums = [Fraction(0)] * 3
     start = 2
     if _resume_from is not None:
         cp = _resume_from
         pi = cp.pi
-        recip = Neumaier(cp.recip_sum, cp.recip_comp)
-        logp = Neumaier(cp.logp_over_p, cp.logp_comp)
-        theta = Neumaier(cp.theta, cp.theta_comp)
+        sums = [
+            Fraction(cp.recip_sum) + Fraction(cp.recip_comp),
+            Fraction(cp.logp_over_p) + Fraction(cp.logp_comp),
+            Fraction(cp.theta) + Fraction(cp.theta_comp),
+        ]
         start = cp.x + 1
         schedule = [t for t in schedule if t > cp.x]
 
@@ -149,12 +156,7 @@ def accumulate(
     pending = list(schedule)
 
     def record(x):
-        out.append(SumCheckpoint(
-            x=x, pi=pi,
-            recip_sum=recip.total, recip_comp=recip.comp,
-            logp_over_p=logp.total, logp_comp=logp.comp,
-            theta=theta.total, theta_comp=theta.comp,
-        ))
+        out.append(SumCheckpoint(x, pi, *(v for s in sums for v in _split(s))))
 
     for seg in primes.iter_segments(
         n_max, segment_size=segment_size, workers=workers, start=start
@@ -168,11 +170,11 @@ def accumulate(
         while pending and pending[0] < seg.hi:
             t = pending.pop(0)
             hi = int(np.searchsorted(p_all, t, side="right"))
-            _consume(p_all[lo:hi], recip, logp, theta)
+            _consume(sums, p_all[lo:hi])
             pi += hi - lo
             lo = hi
             record(t)
-        _consume(p_all[lo:], recip, logp, theta)
+        _consume(sums, p_all[lo:])
         pi += len(p_all) - lo
     while pending:
         record(pending.pop(0))
@@ -182,14 +184,13 @@ def accumulate(
     )
 
 
-def _consume(chunk: np.ndarray, recip, logp, theta) -> None:
-    if len(chunk) == 0:
-        return
-    p = chunk.astype(np.float64)
-    logs = np.log(p)
-    _chunk_add(recip, 1.0 / p)
-    _chunk_add(logp, logs / p)
-    _chunk_add(theta, logs)
+def _consume(sums: list[Fraction], chunk: np.ndarray) -> None:
+    """Add the exact sums of 1/p, ln(p)/p and ln p over ``chunk``."""
+    if len(chunk):
+        p = chunk.astype(np.float64)
+        logs = np.log(p)
+        for i, terms in enumerate((1.0 / p, logs / p, logs)):
+            sums[i] += exact_sum(terms)
 
 
 def extend(series: CheckpointSeries, n_max, schedule, **kwargs) -> CheckpointSeries:

@@ -30,20 +30,24 @@ class UsageError(Exception):
 
 
 def parse_scale(text: str) -> int:
-    """Accept integers in plain, 2^k, or 1e6 notation."""
+    """Accept an integer in [1, 2^63) in plain, a^b, or 1e6 notation."""
     text = text.strip()
     try:
         if "^" in text:
-            base, exp = text.split("^")
-            return int(base) ** int(exp)
-        if "e" in text.lower() or "." in text:
+            base, exp = (int(t) for t in text.split("^"))
+            # |a| >= 2 reaches 2^63 by b = 63: never compute a larger a^b
+            in_range = exp >= 0 and (abs(base) <= 1 or exp < 63)
+            value = base ** exp if in_range else None
+        elif "e" in text.lower() or "." in text:
             v = float(text)
-            if v != int(v):
-                raise ValueError
-            return int(v)
-        return int(text)
+            value = int(v) if v.is_integer() else v
+        else:
+            value = int(text)
     except ValueError:
         raise UsageError(f"cannot parse integer scale {text!r}") from None
+    if not (isinstance(value, int) and 1 <= value < 2**63):
+        raise UsageError(f"scale {text!r} is not an integer in [1, 2^63)")
+    return value
 
 
 def parse_schedule(spec: str, n_max: int) -> list[int]:
@@ -60,7 +64,7 @@ def parse_schedule(spec: str, n_max: int) -> list[int]:
         if not step_s:
             raise UsageError("range schedule needs a..b:step")
         a, b, step = parse_scale(a_s), parse_scale(b_s), parse_scale(step_s)
-        if step <= 0 or b < a:
+        if b < a:
             raise UsageError(f"bad range schedule {spec!r}")
         return list(range(a, b + 1, step))
     return [parse_scale(tok) for tok in spec.split(",") if tok.strip()]
@@ -136,6 +140,8 @@ def cmd_verify(args) -> int:
     series = _series_for_verify(args)
     only = args.only.split(",") if args.only else None
     reports, rows = verifier.run_suite(series, bundle, only=only)
+    if not reports:
+        raise UsageError("no check applies to these thresholds")
 
     lines = []
     if args.wolf_table and rows:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import primes, special
+from . import accumulators, primes, special
 from .special import EvaluatedReal
 
 TOL_MIN = 1e-15
@@ -99,7 +99,7 @@ def H_direct(prime_limit: int) -> EvaluatedReal:
         sub = p if cutoff >= p[-1] else p[: int(np.searchsorted(p, cutoff, side="right"))]
         if len(sub) == 0:
             break
-        parts.append(math.fsum((sub**-float(k)).tolist()) / k)
+        parts.append(float(accumulators.exact_sum(sub**-float(k))) / k)
         if cutoff < 2.0:
             break
         k += 1

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import primes
+from . import accumulators, primes
 
 # Documented global allowance for accumulated binary64 rounding, relative.
 ROUNDING_ALLOWANCE = 1e-13
@@ -111,7 +111,7 @@ def euler_gamma(n: int = 10**6) -> EvaluatedReal:
     Truncation after the n^-6 term; for n = 10^6 the omitted term is far
     below binary64 resolution.
     """
-    harmonic = math.fsum((1.0 / np.arange(1, n + 1)).tolist())
+    harmonic = float(accumulators.exact_sum(1.0 / np.arange(1, n + 1)))
     value = (
         harmonic
         - math.log(n)
@@ -184,17 +184,22 @@ def _tail_fprime(n: float, rho: float) -> float:
     return -(n ** -(2.0 + rho)) * (1.0 + rho + 1.0 / ln) / ln
 
 
-def log_weighted_tail_direct(G: int, rho: float, cutoff=None) -> EvaluatedReal:
+def log_weighted_tail_direct(G: int, rho: float) -> EvaluatedReal:
     """sum_{n>G} 1/(n^(1+rho) ln n): direct summation plus an E1 tail.
 
-    Direct terms to ``cutoff`` (default max(10^6, 100 G)); the rest is
-    the exact integral after substitution, E1(rho * ln cutoff), with the
-    sum-vs-integral bracket width as the truncation bound.
+    Direct terms to N = max(10^6, 100 G); the rest is the exact integral
+    after substitution, E1(rho * ln N), with the sum-vs-integral bracket
+    width as the truncation bound.
     """
     _check_tail_domain(G, rho)
-    N = int(cutoff) if cutoff else max(10**6, 100 * G)
+    return _tail_direct(G, rho)
+
+
+def _tail_direct(G: int, rho: float) -> EvaluatedReal:
+    # no domain check: the remainder identity also needs rho = 1
+    N = max(10**6, 100 * G)
     n = np.arange(G + 1, N + 1, dtype=np.float64)
-    direct = math.fsum(_tail_f(n, rho).tolist())
+    direct = float(accumulators.exact_sum(_tail_f(n, rho)))
     tail = exp_integral_e1(rho * math.log(N))
     # f decreasing: sum_{n>N} f(n) lies in [integral from N+1, integral from N]
     bracket = float(_tail_f(np.float64(N), rho))
@@ -235,7 +240,7 @@ def sum_log_over_n_squared(N: int = 10**4) -> EvaluatedReal:
     prime-power bound in the first fundamental lemma.
     """
     n = np.arange(2, N, dtype=np.float64)
-    direct = math.fsum((np.log(n) / n**2).tolist())
+    direct = float(accumulators.exact_sum(np.log(n) / n**2))
     lnN = math.log(N)
     integral = (lnN + 1.0) / N
     f_N = lnN / N**2

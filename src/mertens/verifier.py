@@ -93,15 +93,9 @@ def check_theta(series: CheckpointSeries) -> list[BoundReport]:
 
 # --- chi(x) - chi(x/2) < x ----------------------------------------------
 
-def _theta_table(limit: int):
-    """Primes <= limit and their natural logarithms."""
-    p = primes.primes_up_to(limit)
-    return p, np.log(p.astype(np.float64))
-
-
 def _theta_at(p, logs, y: float) -> float:
     k = int(np.searchsorted(p, math.floor(y), side="right"))
-    return math.fsum(logs[:k].tolist())
+    return float(accumulators.exact_sum(logs[:k]))
 
 
 def _chi(p, logs, x: float) -> float:
@@ -119,7 +113,8 @@ def _chi(p, logs, x: float) -> float:
 def check_chi_inequality(x: int) -> BoundReport:
     if x <= 1:
         raise ValueError(f"x must be > 1, got {x}")
-    p, logs = _theta_table(x)
+    p = primes.primes_up_to(x)
+    logs = np.log(p.astype(np.float64))
     observed = _chi(p, logs, float(x)) - _chi(p, logs, x / 2.0)
     return _report("chi_difference", {"x": x}, observed, float(x))
 
@@ -127,7 +122,8 @@ def check_chi_inequality(x: int) -> BoundReport:
 # --- Stirling bounds -----------------------------------------------------
 
 def _log_factorial(n: int) -> float:
-    return math.fsum(np.log(np.arange(1, n + 1, dtype=np.float64)).tolist())
+    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
+    return float(accumulators.exact_sum(logs))
 
 
 def _binet_term(m: int) -> float:
@@ -225,13 +221,11 @@ def check_abel_pi_identity(series: CheckpointSeries) -> list[BoundReport]:
         if cp.x < 2:
             continue
         k = int(np.searchsorted(all_p, cp.x, side="right"))
-        p = all_p[:k].astype(np.float64)
         # pi is a step function: the integral of pi(t)/t^2 over [2, x] is
-        # an exact finite sum of pi * (1/a - 1/b) pieces.
-        counts = np.arange(1, len(p), dtype=np.float64)
-        pieces = (counts * (1.0 / p[:-1] - 1.0 / p[1:])).tolist()
-        pieces.append(len(p) * (1.0 / p[-1] - 1.0 / cp.x))
-        rhs = len(p) / cp.x + math.fsum(pieces)
+        # an exact finite sum of pi * (1/a - 1/b) pieces, the last to b = x.
+        q = np.append(all_p[:k], cp.x).astype(np.float64)
+        pieces = np.arange(1, k + 1) * (1.0 / q[:-1] - 1.0 / q[1:])
+        rhs = k / cp.x + float(accumulators.exact_sum(pieces))
         lhs = cp.recip
         rel = abs(lhs - rhs) / lhs
         reports.append(_report("abel_pi_identity", {"x": cp.x}, rel, 1e-10))
@@ -249,17 +243,8 @@ def check_remainder_identity(G: int, rho: float) -> BoundReport:
     full = special.prime_zeta(s)
     head = math.fsum(p ** -s for p in primes.primes_up_to(G).tolist())
     prime_tail = full.value - head
-    if rho < 1:
-        n_tail = special.log_weighted_tail_direct(G, rho)
-    else:
-        # rho = 1 sits outside the tail helper's open interval; sum the
-        # absolutely convergent series directly with an integral bound.
-        n = np.arange(G + 1, 10**6 + 1, dtype=np.float64)
-        direct = math.fsum((n ** -2.0 / np.log(n)).tolist())
-        cut = 1e6
-        n_tail = special.EvaluatedReal(
-            direct + 1.0 / (cut * math.log(cut)), 1.0 / (cut * math.log(cut)),
-        )
+    # rho = 1 sits outside the public tail helper's open interval
+    n_tail = special._tail_direct(G, rho)
     remainder = prime_tail - n_tail.value
     bound = 4.0 / math.log(G + 1) + 1.0 / (G * math.log(G + 1))
     return _report(

@@ -1,4 +1,7 @@
 import math
+import pathlib
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from mertens.accumulators import (
     CheckpointSeries,
     SumCheckpoint,
     accumulate,
+    exact_sum,
     load_checkpoints,
     save_checkpoints,
 )
@@ -58,9 +62,30 @@ def test_threshold_mid_segment_equals_exact_run():
 
 
 def test_determinism_across_worker_and_segment_schedules():
-    ref = accumulate(10**6, [10**5, 10**6])
-    for workers in (2, 4):
-        assert accumulate(10**6, [10**5, 10**6], workers=workers) == ref
+    decades = [10**k for k in range(3, 8)]
+    ref = accumulate(10**7, decades)
+    for segment_size, workers in [
+        (2**10, 1), (2**16, 1), (2**20, 1), (2**16, 2), (2**20, 4),
+    ]:
+        run = accumulate(
+            10**7, decades, segment_size=segment_size, workers=workers
+        )
+        assert run == ref, (segment_size, workers)
+
+
+@given(
+    st.integers(min_value=1, max_value=2 * 10**5 - 1),
+    st.sampled_from([2**10, 2**12, 2**16]),
+)
+@settings(max_examples=25, deadline=None)
+def test_extend_from_any_resume_point_equals_single_run(resume_at, size):
+    n_max = 2 * 10**5
+    schedule = sorted({resume_at, 10**3, 10**4, 10**5, n_max})
+    first = accumulate(
+        resume_at, [t for t in schedule if t <= resume_at], segment_size=size
+    )
+    extended = accumulators.extend(first, n_max, schedule, segment_size=size)
+    assert extended.checkpoints == accumulate(n_max, schedule).checkpoints
 
 
 def test_budget_guard():
@@ -163,14 +188,101 @@ class TestCheckpointFile:
             assert a.theta_comp == b.theta_comp
 
 
-@pytest.mark.slow
-def test_compensated_vs_naive_at_1e8():
-    naive = 0.0
-    comp = accumulators.Neumaier()
-    for seg in primes.iter_segments(10**8):
-        inv = 1.0 / seg.primes().astype(np.float64)
-        for v in inv.tolist():
-            naive += v
-        comp.add(math.fsum(inv.tolist()))
-    drift = abs(comp.value - naive)
-    assert drift < 1e-10
+def _exact_prime_sums(x):
+    p = primes.primes_up_to(x).astype(np.float64)
+    logs = np.log(p)
+    return [sum(map(Fraction, t.tolist()), Fraction(0))
+            for t in (1.0 / p, logs / p, logs)]
+
+
+def test_checkpoints_are_exact_sums_rounded_once():
+    schedule = [1, 2, 10, 100, 1000, 12345, 50_000, 2**16]
+    exact = {x: _exact_prime_sums(x) for x in schedule}
+    for size in (2**10, 2**20):
+        for cp in accumulate(2**16, schedule, segment_size=size):
+            pairs = [(cp.recip_sum, cp.recip_comp),
+                     (cp.logp_over_p, cp.logp_comp), (cp.theta, cp.theta_comp)]
+            for (s, c), total in zip(pairs, exact[cp.x]):
+                assert Fraction(s) + Fraction(c) == total
+                assert s == float(total)
+
+
+# A v1 file whose *_comp fields hold a rounding carry, not the exact
+# residual of the rounded sum; such a file still loads and resumes.
+CARRY_FILE = (
+    "mertens-checkpoints v1\n"
+    "10,4,1.1761904761904762E+00,0.0000000000000000E+00,"
+    "1.3126524331402549E+00,0.0000000000000000E+00,"
+    "5.3471075307174685E+00,0.0000000000000000E+00\n"
+    "65536,6542,2.6678239738251586E+00,2.2204460492503131E-16,"
+    "9.7611210881963437E+00,6.6613381477509392E-16,"
+    "6.5174262027211036E+04,4.2899017671516049E-13\n"
+)
+
+
+def test_resume_from_a_file_with_a_rounding_carry(tmp_path):
+    path = tmp_path / "cp.csv"
+    path.write_text(CARRY_FILE)
+    extended = accumulators.extend(load_checkpoints(path), 2**17, [2**17])
+    got = extended.checkpoints[-1]
+    want = accumulate(2**17, [2**17]).checkpoints[0]
+    assert got.pi == want.pi
+    for a, b in [(got.recip, want.recip), (got.logp, want.logp),
+                 (got.theta_value, want.theta_value)]:
+        assert abs(a - b) <= math.ulp(b)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+subnormal = st.floats(min_value=-2.2250738585072014e-308,
+                      max_value=2.2250738585072014e-308)
+wide = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023))
+zero = st.sampled_from([0.0, -0.0])
+
+
+class TestExactSum:
+    @given(
+        st.lists(st.one_of(finite, subnormal, wide, zero), max_size=60),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_oracle_in_any_order(self, vals, rnd):
+        exact = sum(map(Fraction, vals), Fraction(0))
+        rnd.shuffle(vals)
+        assert exact_sum(np.array(vals, dtype=np.float64)) == exact
+
+    def test_limbs_carry_past_2_53(self):
+        # 10^5 full 53-bit mantissas in one exponent bin, both signs
+        v = np.nextafter(1.0, 2.0)
+        x = np.concatenate([np.full(10**5, v), np.full(3, -v / 3)])
+        assert exact_sum(x) == 10**5 * Fraction(v) + 3 * Fraction(-v / 3)
+
+    def test_empty_and_zero(self):
+        assert exact_sum(np.array([])) == 0
+        assert exact_sum(np.zeros(5)) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            exact_sum(np.array([1.0, bad, 2.0]))
+
+
+def _fsum_arguments(text):
+    """The argument text of every math.fsum( call, parentheses balanced."""
+    for m in re.finditer(r"math\.fsum\(", text):
+        depth, i = 1, m.end()
+        while depth:
+            depth += {"(": 1, ")": -1}.get(text[i], 0)
+            i += 1
+        yield text[m.end():i - 1]
+
+
+def test_one_summation_primitive():
+    # every numpy array is summed by exact_sum; no second path creeps back
+    src = pathlib.Path(accumulators.__file__).parent
+    for f in src.glob("*.py"):
+        text = f.read_text()
+        assert not re.search(r"\bNeumaier\b", text), f.name
+        for arg in _fsum_arguments(text):
+            # a generator over .tolist() feeds fsum math-computed terms
+            direct = " for " not in arg and arg.rstrip().endswith(".tolist()")
+            assert not direct, (f.name, arg)

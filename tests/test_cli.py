@@ -1,7 +1,17 @@
 import json
 
+import pytest
+
 from mertens import cli
-from mertens.cli import EXIT_BOUND_FAILED, EXIT_OK, EXIT_USAGE, main, parse_scale, parse_schedule
+from mertens.cli import (
+    EXIT_BOUND_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    UsageError,
+    main,
+    parse_scale,
+    parse_schedule,
+)
 
 
 class TestParsing:
@@ -9,6 +19,17 @@ class TestParsing:
         assert parse_scale("2^20") == 2**20
         assert parse_scale("1e6") == 10**6
         assert parse_scale("65536") == 65536
+        assert parse_scale("2^62") == 2**62
+        assert parse_scale("1^1000") == 1
+
+    @pytest.mark.parametrize("text", [
+        "2^-1", "-5", "0", "2.5", "1e400", "nan", "2^63", "2^100000",
+    ])
+    def test_parse_scale_rejects(self, text):
+        # not an integer >= 1, or past 2^63; a^b is refused before it is
+        # computed
+        with pytest.raises(UsageError):
+            parse_scale(text)
 
     def test_parse_schedule_pow2(self):
         assert parse_schedule("pow2", 2**20) == [2**k for k in range(16, 21)]
@@ -99,6 +120,21 @@ class TestVerify:
 
     def test_missing_inputs(self, capsys):
         assert main(["verify"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["sums", "--max", "1e400"],
+        ["verify", "--max", "2^-1"],
+        ["verify", "--max", "-5"],
+    ])
+    def test_bad_scale_exits_2(self, argv, tmp_path, capsys):
+        argv = argv + ["--checkpoints", str(tmp_path / "cp.csv")]
+        assert main(argv) == EXIT_USAGE
+        assert "not an integer in [1, 2^63)" in capsys.readouterr().err
+
+    def test_no_checks_run_exits_2(self, capsys):
+        # theta skips x < 2: a run with no check is not a pass
+        assert main(["verify", "--max", "1", "--only", "theta"]) == EXIT_USAGE
+        assert "no check" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_file(self, tmp_path, capsys):
         path = tmp_path / "cp.csv"
