@@ -8,6 +8,7 @@ on segment size, worker count, resume point or chunking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -43,22 +44,37 @@ def exact_sum(x: np.ndarray) -> Fraction:
     """The exact rational sum of a float64 array, in any order.
 
     Each value is split as x = m * 2^e with an integer |m| < 2^53.  The
-    mantissas of each exponent are summed in two int64 limbs, m = hi * 2^26
-    + lo, which cannot overflow below 2^36 values, and the per-exponent
-    totals are combined once in Python integers.  Raises ValueError on NaN,
-    infinity, or 2^36 values or more.
+    mantissas are summed in two int64 limbs, m = hi * 2^26 + lo, first over
+    each run of equal exponents and then, run totals only, per exponent;
+    neither step can overflow below 2^36 values.  The per-exponent totals
+    are combined once in Python integers.  Monotone input, such as the
+    terms of a prime sum, has a few runs; any other order has up to one run
+    per value and is as exact.  Raises ValueError on NaN, infinity, or 2^36
+    values or more.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size >= 1 << 36 or not np.isfinite(x).all():
         raise ValueError("exact_sum needs fewer than 2^36 finite values")
+    if not x.size:
+        return Fraction(0)
+    # In place, and freed early: with fewer temporaries live at once, the
+    # calls of a stream stop faulting in fresh pages every time.
     frac, exp = np.frexp(x)
-    mant = (frac * 2.0**53).astype(np.int64)
-    base = int(exp.min(initial=0))  # <= 0, and 0 for an empty array
-    key = exp - base
-    hi = np.zeros(int(key.max(initial=0)) + 1, dtype=np.int64)
+    frac *= 2.0**53
+    mant = frac.astype(np.int64)
+    del frac
+    run_start = np.empty(x.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(exp[1:], exp[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    key = exp[starts]
+    base = min(int(key.min()), 0)
+    key -= base
+    hi = np.zeros(int(key.max()) + 1, dtype=np.int64)
     lo = np.zeros_like(hi)
-    np.add.at(hi, key, mant >> 26)
-    np.add.at(lo, key, mant & ((1 << 26) - 1))
+    np.add.at(lo, key, np.add.reduceat(mant & ((1 << 26) - 1), starts))
+    mant >>= 26
+    np.add.at(hi, key, np.add.reduceat(mant, starts))
     limbs = enumerate(zip(hi.tolist(), lo.tolist()))
     total = sum(((h << 26) + l) << k for k, (h, l) in limbs)
     return Fraction(total, 1 << (53 - base))
@@ -245,12 +261,35 @@ def load_checkpoints(path) -> CheckpointSeries:
                 vals[name] = int(raw) if name in ("x", "pi") else float(raw)
             except ValueError as exc:
                 raise CheckpointFormatError(ln, name, str(exc)) from None
-        cps.append(SumCheckpoint(**vals))
-    for a, b in zip(cps, cps[1:]):
-        if b.x <= a.x:
-            raise CheckpointFormatError(
-                2 + cps.index(b), "x", "thresholds must be strictly increasing"
-            )
+        cp = SumCheckpoint(**vals)
+        _check_row(ln, cp, cps[-1] if cps else None)
+        cps.append(cp)
     return CheckpointSeries(
         schedule=",".join(str(c.x) for c in cps), checkpoints=cps
     )
+
+
+# The sums before the first prime, which every first row must reach.
+_NO_PRIMES = SumCheckpoint(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _check_row(ln: int, cp: SumCheckpoint, prev: SumCheckpoint | None) -> None:
+    """Raise CheckpointFormatError unless ``cp`` can follow row ``prev``."""
+    for name in _FIELDS[2:]:
+        if not math.isfinite(getattr(cp, name)):
+            raise CheckpointFormatError(ln, name, "not a finite number")
+    if not 0 <= cp.pi <= cp.x:
+        raise CheckpointFormatError(ln, "pi", f"{cp.pi} is outside [0, x={cp.x}]")
+    if prev is not None and cp.x <= prev.x:
+        raise CheckpointFormatError(ln, "x", "thresholds must be strictly increasing")
+    for name in ("pi", "recip_sum", "logp_over_p", "theta"):
+        now, before = getattr(cp, name), getattr(prev or _NO_PRIMES, name)
+        if now < before:
+            raise CheckpointFormatError(
+                ln, name, f"{now!r} decreases from {before!r} on the row before"
+            )
+    # every prime is >= 2, so theta >= pi ln 2; the slack covers rounding
+    if cp.theta < cp.pi * math.log(2) * (1 - 1e-12):
+        raise CheckpointFormatError(
+            ln, "theta", f"{cp.theta!r} is below pi ln 2 for pi={cp.pi}"
+        )

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 
-from . import accumulators, constants, verifier
+from . import accumulators, constants, primes, verifier
 from .accumulators import BudgetError, CheckpointFormatError
 
 EXIT_OK = 0
@@ -48,6 +48,15 @@ def parse_scale(text: str) -> int:
     if not (isinstance(value, int) and 1 <= value < 2**63):
         raise UsageError(f"scale {text!r} is not an integer in [1, 2^63)")
     return value
+
+
+def parse_workers(text: str) -> int:
+    """--workers: an integer in [1, primes.MAX_WORKERS], checked at parse
+    time, so a bad value starts no pool and sieves nothing."""
+    try:
+        return primes.check_workers(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_schedule(spec: str, n_max: int) -> list[int]:
@@ -182,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", required=True, help="upper limit (e.g. 2^20, 1e6)")
     p.add_argument("--schedule", default="pow2")
     p.add_argument("--checkpoints", default="checkpoints.csv")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=parse_workers, default=1)
     p.add_argument("--force", action="store_true",
                    help="allow limits beyond the desk-scale budget")
     p.add_argument("--resume", action="store_true",
@@ -205,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma list of checks "
                    f"({','.join(verifier.CHECK_NAMES)})")
     p.add_argument("--wolf-table", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=parse_workers, default=1)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -12,6 +12,7 @@ run sieves nothing below its resume point.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +20,10 @@ import numpy as np
 
 # Odd entries per segment; one segment spans twice this many integers.
 DEFAULT_SEGMENT_SIZE = 1 << 20
+
+# Largest accepted worker count: a pool beyond the cores of any desk machine
+# buys nothing, and each worker may hold one segment bitmap.
+MAX_WORKERS = 64
 
 # Moebius tables beyond this are never needed: every series over n that
 # uses mu truncates far earlier, and the linear-memory table stays small.
@@ -50,26 +55,56 @@ class PrimeSegment:
         return odds
 
 
+def _wheel_pattern(wheel_primes) -> np.ndarray:
+    """Entry j says whether 2j + 1 is prime to every one of ``wheel_primes``.
+
+    The odd multiples of q sit at j = q // 2 + k * q, and the pattern
+    repeats after prod(wheel_primes) odd integers.
+    """
+    pattern = np.ones(math.prod(wheel_primes), dtype=bool)
+    for q in wheel_primes:
+        pattern[q // 2 :: q] = False
+    return pattern
+
+
+# Odd primes whose multiples, themselves included, every segment starts
+# out crossed off: the segment sieve tiles this pattern (period 15015).
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = _wheel_pattern(_WHEEL_PRIMES)
+
+
 def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> PrimeSegment:
-    """Sieve the odd integers of [lo, hi) against the base primes."""
+    """Sieve the odd integers of [lo, hi), lo >= 2, against the base primes.
+
+    The bitmap starts as the wheel pattern at the segment's phase, with the
+    wheel primes in [lo, hi) put back; the base primes past the wheel then
+    cross off their odd multiples from max(p^2, first in the segment).
+    """
     odd_base = lo | 1
     count = max(0, (hi - odd_base + 1) // 2)
-    bits = np.ones(count, dtype=bool)
-    if odd_base == 1 and count:
-        bits[0] = False
-    for p in base:
-        p = int(p)
-        if p == 2:
-            continue
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start >= hi:
-            continue
-        bits[(start - odd_base) // 2 :: p] = False
+    phase = (odd_base // 2) % _WHEEL.size
+    reps = -(-(phase + count) // _WHEEL.size)
+    bits = np.tile(_WHEEL, reps)[phase : phase + count]
+    for q in _WHEEL_PRIMES:
+        if lo <= q < hi:
+            bits[(q - odd_base) // 2] = True
+    # base is 2, the wheel primes, then the primes that sieve here
+    last = np.searchsorted(base, math.isqrt(hi - 1), side="right")
+    p = base[1 + len(_WHEEL_PRIMES) : last]
+    start = np.maximum(p * p, -(-lo // p) * p)
+    start += p * (start % 2 == 0)
+    for q, i in zip(p.tolist(), ((start - odd_base) // 2).tolist()):
+        bits[i::q] = False
     return PrimeSegment(lo, hi, bits)
+
+
+def check_workers(workers) -> int:
+    """``workers`` if it is an integer in [1, MAX_WORKERS]; else ValueError."""
+    if not (isinstance(workers, int) and 1 <= workers <= MAX_WORKERS):
+        raise ValueError(
+            f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}"
+        )
+    return workers
 
 
 def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, workers=1, start=2):
@@ -80,8 +115,10 @@ def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, workers=1, start=2):
     segments wholly below ``start`` are never sieved.  Segments are
     independent units of work: with ``workers > 1`` they are sieved
     concurrently but always yielded in ascending order, so results are
-    identical for any worker count.
+    identical for any worker count.  At most ``workers`` segments are
+    sieved ahead of the one the caller holds.
     """
+    check_workers(workers)
     n = int(n)
     if n < 2:
         return
@@ -91,7 +128,13 @@ def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, workers=1, start=2):
     bounds = [(lo, min(lo + span, n + 1)) for lo in range(first, n + 1, span)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(lambda b: _sieve_segment(*b, base), bounds)
+            ahead = deque()
+            for lo, hi in bounds:
+                ahead.append(pool.submit(_sieve_segment, lo, hi, base))
+                if len(ahead) > workers:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
     else:
         for lo, hi in bounds:
             yield _sieve_segment(lo, hi, base)

@@ -166,6 +166,41 @@ class TestCheckpointFile:
         assert exc.value.line == 2
         assert exc.value.field == "logp_over_p"
 
+    @pytest.mark.parametrize("field, raw", [
+        ("recip_comp", "nan"),
+        ("logp_over_p", "inf"),
+        ("theta_comp", "-inf"),
+        ("pi", "101"),  # pi > x
+        ("pi", "-1"),
+        ("pi", "3"),  # 4 primes <= 10 on the row before
+        ("recip_sum", "1.0"),  # 1/2 + 1/3 + 1/5 + 1/7 on the row before
+        ("logp_over_p", "1.3"),
+        ("theta", "5.3"),
+        # rises from the row before, but 25 primes make theta >= 25 ln 2
+        ("theta", "10.0"),
+    ])
+    def test_impossible_row_names_line_and_field(self, field, raw, tmp_path):
+        path = tmp_path / "cp.csv"
+        save_checkpoints(accumulate(100, [10, 100]), path)
+        lines = path.read_text().splitlines()
+        row = dict(zip(accumulators._FIELDS, lines[2].split(",")))
+        row[field] = raw
+        lines[2] = ",".join(row.values())
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_checkpoints(path)
+        assert (exc.value.line, exc.value.field) == (3, field)
+
+    def test_first_row_is_checked_against_no_primes(self, tmp_path):
+        path = tmp_path / "cp.csv"
+        path.write_text(
+            accumulators.FILE_HEADER
+            + "\n1,0,-1.0E-300,0.0,0.0,0.0,0.0,0.0\n"
+        )
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_checkpoints(path)
+        assert (exc.value.line, exc.value.field) == (2, "recip_sum")
+
     @given(st.lists(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
         min_size=8, max_size=8,
@@ -247,6 +282,9 @@ class TestExactSum:
     @settings(max_examples=300, deadline=None)
     def test_matches_fraction_oracle_in_any_order(self, vals, rnd):
         exact = sum(map(Fraction, vals), Fraction(0))
+        # sorted input has one run per exponent, shuffled up to one per value
+        for order in (sorted(vals), sorted(vals, reverse=True)):
+            assert exact_sum(np.array(order, dtype=np.float64)) == exact
         rnd.shuffle(vals)
         assert exact_sum(np.array(vals, dtype=np.float64)) == exact
 
@@ -255,6 +293,17 @@ class TestExactSum:
         v = np.nextafter(1.0, 2.0)
         x = np.concatenate([np.full(10**5, v), np.full(3, -v / 3)])
         assert exact_sum(x) == 10**5 * Fraction(v) + 3 * Fraction(-v / 3)
+
+    def test_one_long_run_and_a_run_per_value(self):
+        v = np.nextafter(1.0, 2.0)
+        # a run of 2^20 equal exponents, whose hi-limb total is 2^46, then 3
+        x = np.concatenate([np.full(2**20, v), np.full(3, -v / 3 * 2)])
+        assert exact_sum(x) == 2**20 * Fraction(v) + 3 * Fraction(-v / 3 * 2)
+        # the exponent changes at every value, and each exponent recurs
+        exps = np.tile(np.arange(-1074, 1024, 7), 3)
+        x = np.ldexp(np.resize([v, -0.75, 0.625 + 2**-40], exps.size), exps)
+        assert np.all(np.frexp(x)[1][1:] != np.frexp(x)[1][:-1])
+        assert exact_sum(x) == sum(map(Fraction, x.tolist()), Fraction(0))
 
     def test_empty_and_zero(self):
         assert exact_sum(np.array([])) == 0

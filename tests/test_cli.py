@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mertens import cli
+from mertens import cli, primes
 from mertens.cli import (
     EXIT_BOUND_FAILED,
     EXIT_OK,
@@ -138,10 +138,13 @@ class TestVerify:
 
     def test_corrupt_checkpoint_file(self, tmp_path, capsys):
         path = tmp_path / "cp.csv"
-        path.write_text("mertens-checkpoints v1\n10,4,bogus\n")
-        rc = main(["verify", "--checkpoints", str(path)])
-        assert rc == EXIT_USAGE
-        assert "line 2" in capsys.readouterr().err
+        # the second file parses, but theta = 0 is impossible with 25
+        # primes <= 100 (it would pass theta_lt_2x)
+        for row in ("10,4,bogus", "100,25,1.8,0.0,3.5,0.0,0.0,0.0"):
+            path.write_text(f"mertens-checkpoints v1\n{row}\n")
+            rc = main(["verify", "--checkpoints", str(path)])
+            assert rc == EXIT_USAGE, row
+            assert "line 2" in capsys.readouterr().err
 
     def test_loads_existing_checkpoints(self, tmp_path, capsys):
         path = tmp_path / "cp.csv"
@@ -172,3 +175,20 @@ def test_env_var_output_dir(tmp_path, capsys, monkeypatch):
                "--checkpoints", "rel.csv"])
     assert rc == EXIT_OK
     assert (tmp_path / "rel.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", str(10**6)])
+@pytest.mark.parametrize("command", ["sums", "verify"])
+def test_bad_workers_exit_2_before_any_pool_or_sieve(
+    command, workers, tmp_path, monkeypatch, capsys
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("a pool or a sieve started")
+
+    monkeypatch.setattr(primes, "ThreadPoolExecutor", fail)
+    monkeypatch.setattr(primes, "_sieve_segment", fail)
+    rc = main([command, "--max", "2^20", "--workers", workers,
+               "--checkpoints", str(tmp_path / "cp.csv")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"workers must be an integer in [1, 64], got {workers}" in err

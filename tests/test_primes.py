@@ -1,6 +1,8 @@
 import math
 import pathlib
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -69,6 +71,20 @@ def test_count_at_2_16():
 
 def test_matches_trial_division_to_1e5():
     assert list(primes.primes_up_to(10**5)) == trial_division_primes(10**5)
+    # every small n, including those whose segment holds the wheel primes
+    for n in range(401):
+        assert list(primes.primes_up_to(n)) == trial_division_primes(n), n
+
+
+@pytest.mark.parametrize("segment_size", [1, 2, 3, 7, 7507, 15015])
+def test_small_segments_match_trial_division(segment_size):
+    # these sizes start segments at every phase of the 15015-periodic wheel
+    # pattern, and put 3..13 in segments of their own
+    n = 2 * 10**4
+    got = np.concatenate(
+        [s.primes() for s in primes.iter_segments(n, segment_size=segment_size)]
+    )
+    assert got.tolist() == trial_division_primes(n)
 
 
 @pytest.mark.parametrize("segment_size", [2**10, 2**16, 2**20])
@@ -95,6 +111,40 @@ def test_worker_count_does_not_change_output():
         [s.primes() for s in primes.iter_segments(10**6, workers=4)]
     )
     assert np.array_equal(one, four)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 10**6, 2.0])
+def test_bad_worker_count_is_refused_before_a_pool_starts(workers, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a pool started")
+
+    monkeypatch.setattr(primes, "ThreadPoolExecutor", fail)
+    with pytest.raises(ValueError, match=r"workers must be an integer in \[1, 64\]"):
+        next(primes.iter_segments(10**5, workers=workers))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pool_sieves_at_most_workers_segments_ahead(workers, monkeypatch):
+    n = 10**5
+    real = primes._sieve_segment
+    calls = []
+    lock = threading.Lock()
+
+    def counting(lo, hi, base):
+        if hi > math.isqrt(n) + 1:  # not the nested base-prime sieve
+            with lock:
+                calls.append(lo)
+        return real(lo, hi, base)
+
+    monkeypatch.setattr(primes, "_sieve_segment", counting)
+    consumed = 0
+    for seg in primes.iter_segments(n, segment_size=2**10, workers=workers):
+        consumed += 1
+        # give the pool time to run ahead if nothing holds it back
+        time.sleep(0.002)
+        with lock:
+            assert len(calls) <= consumed + workers, (consumed, len(calls))
+    assert consumed == len(calls) == 49
 
 
 class TestMoebius:
