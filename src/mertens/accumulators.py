@@ -8,7 +8,9 @@ on segment size, worker count, resume point or chunking.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +42,36 @@ class CheckpointFormatError(ValueError):
         super().__init__(f"line {line}, field {field_name!r}: {message}")
 
 
-def exact_sum(x: np.ndarray) -> Fraction:
+# Primes per block of a stream: a scratch holds one block, so the working
+# set of a stream is a few MB at any segment size.
+BLOCK = 1 << 16
+
+
+class SumScratch:
+    """Work arrays for ``exact_sum``, and ``rows`` of terms for a stream.
+
+    A stream makes one scratch and passes it to every call, so the arrays
+    are allocated, and their pages touched, once and not per chunk.  They
+    grow to the largest input seen.
+    """
+
+    def __init__(self, size: int = 0, rows: int = 0):
+        self.size = -1
+        self._rows = rows
+        self.fit(size)
+
+    def fit(self, n: int) -> None:
+        """Make room for ``n`` values."""
+        if n > self.size:
+            self.frac = np.empty(n, dtype=np.float64)
+            self.exp = np.empty(n, dtype=np.int32)
+            self.mant = np.empty(n, dtype=np.int64)
+            self.run = np.empty(n, dtype=bool)
+            self.rows = np.empty((self._rows, n), dtype=np.float64)
+            self.size = n
+
+
+def exact_sum(x: np.ndarray, scratch: SumScratch | None = None) -> Fraction:
     """The exact rational sum of a float64 array, in any order.
 
     Each value is split as x = m * 2^e with an integer |m| < 2^53.  The
@@ -49,30 +80,37 @@ def exact_sum(x: np.ndarray) -> Fraction:
     neither step can overflow below 2^36 values.  The per-exponent totals
     are combined once in Python integers.  Monotone input, such as the
     terms of a prime sum, has a few runs; any other order has up to one run
-    per value and is as exact.  Raises ValueError on NaN, infinity, or 2^36
-    values or more.
+    per value and is as exact.  Every array as long as ``x`` comes from
+    ``scratch``, a fresh one when it is None.  Raises ValueError on NaN,
+    infinity, or 2^36 values or more.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.size >= 1 << 36 or not np.isfinite(x).all():
-        raise ValueError("exact_sum needs fewer than 2^36 finite values")
-    if not x.size:
+    n = x.size
+    if n >= 1 << 36:
+        raise ValueError("exact_sum needs fewer than 2^36 values")
+    if not n:
         return Fraction(0)
-    # In place, and freed early: with fewer temporaries live at once, the
-    # calls of a stream stop faulting in fresh pages every time.
-    frac, exp = np.frexp(x)
-    frac *= 2.0**53
-    mant = frac.astype(np.int64)
-    del frac
-    run_start = np.empty(x.size, dtype=bool)
-    run_start[0] = True
-    np.not_equal(exp[1:], exp[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
+    if scratch is None:
+        scratch = SumScratch()
+    scratch.fit(n)
+    frac, exp = scratch.frac[:n], scratch.exp[:n]
+    mant, run = scratch.mant[:n], scratch.run[:n]
+    if not np.isfinite(x, out=run).all():
+        raise ValueError("exact_sum needs finite values")
+    np.frexp(x, out=(frac, exp))
+    np.multiply(frac, 2.0**53, out=mant, casting="unsafe")
+    run[0] = True
+    np.not_equal(exp[1:], exp[:-1], out=run[1:])
+    starts = np.flatnonzero(run)
     key = exp[starts]
     base = min(int(key.min()), 0)
     key -= base
     hi = np.zeros(int(key.max()) + 1, dtype=np.int64)
     lo = np.zeros_like(hi)
-    np.add.at(lo, key, np.add.reduceat(mant & ((1 << 26) - 1), starts))
+    # the low limbs take the memory of frac, which mant has replaced
+    low = frac.view(np.int64)
+    np.bitwise_and(mant, (1 << 26) - 1, out=low)
+    np.add.at(lo, key, np.add.reduceat(low, starts))
     mant >>= 26
     np.add.at(hi, key, np.add.reduceat(mant, starts))
     limbs = enumerate(zip(hi.tolist(), lo.tolist()))
@@ -170,6 +208,7 @@ def accumulate(
 
     out: list[SumCheckpoint] = []
     pending = list(schedule)
+    scratch = SumScratch(BLOCK, rows=3)
 
     def record(x):
         out.append(SumCheckpoint(x, pi, *(v for s in sums for v in _split(s))))
@@ -186,11 +225,11 @@ def accumulate(
         while pending and pending[0] < seg.hi:
             t = pending.pop(0)
             hi = int(np.searchsorted(p_all, t, side="right"))
-            _consume(sums, p_all[lo:hi])
+            _consume(sums, p_all[lo:hi], scratch)
             pi += hi - lo
             lo = hi
             record(t)
-        _consume(sums, p_all[lo:])
+        _consume(sums, p_all[lo:], scratch)
         pi += len(p_all) - lo
     while pending:
         record(pending.pop(0))
@@ -200,13 +239,40 @@ def accumulate(
     )
 
 
-def _consume(sums: list[Fraction], chunk: np.ndarray) -> None:
+def _consume(sums: list[Fraction], chunk: np.ndarray, scratch: SumScratch) -> None:
     """Add the exact sums of 1/p, ln(p)/p and ln p over ``chunk``."""
-    if len(chunk):
-        p = chunk.astype(np.float64)
-        logs = np.log(p)
-        for i, terms in enumerate((1.0 / p, logs / p, logs)):
-            sums[i] += exact_sum(terms)
+    for i in range(0, len(chunk), BLOCK):
+        block = chunk[i : i + BLOCK]
+        recip, logp_over_p, logp = scratch.rows[:, : len(block)]
+        recip[...] = block
+        np.log(recip, out=logp)
+        np.divide(logp, recip, out=logp_over_p)
+        np.divide(1.0, recip, out=recip)
+        for j, terms in enumerate((recip, logp_over_p, logp)):
+            sums[j] += exact_sum(terms, scratch)
+
+
+def inverse_power_sums(n, powers) -> list[Fraction]:
+    """The exact sum of p^-k over the primes p <= min(n, limit), for each
+    (k, limit) in ``powers``, in one stream of the primes <= n.
+
+    Like ``accumulate``, it holds one segment and one scratch at a time,
+    so its memory does not grow with n.
+    """
+    sums = [Fraction(0)] * len(powers)
+    scratch = SumScratch(BLOCK, rows=2)
+    for seg in primes.iter_segments(n):
+        chunk = seg.primes()
+        for i in range(0, len(chunk), BLOCK):
+            block = chunk[i : i + BLOCK]
+            p, terms = scratch.rows[:, : len(block)]
+            p[...] = block
+            for j, (k, limit) in enumerate(powers):
+                c = int(np.searchsorted(p, limit, side="right"))
+                if c:
+                    np.power(p[:c], -float(k), out=terms[:c])
+                    sums[j] += exact_sum(terms[:c], scratch)
+    return sums
 
 
 def extend(series: CheckpointSeries, n_max, schedule, **kwargs) -> CheckpointSeries:
@@ -227,8 +293,28 @@ def _fmt(v: float) -> str:
     return f"{v:.16E}"
 
 
+@contextlib.contextmanager
+def open_atomic(path):
+    """Open ``path`` to write ASCII text that replaces it only on success.
+
+    The text goes to a temporary file in the same directory, which is
+    fsynced and then renamed over ``path``: after a crash or an error at
+    any point, ``path`` holds either its old bytes or all of the new ones.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_checkpoints(series: CheckpointSeries, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open_atomic(path) as fh:
         fh.write(FILE_HEADER + "\n")
         for c in series.checkpoints:
             row = [

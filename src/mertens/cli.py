@@ -22,7 +22,6 @@ EXIT_USAGE = 2
 OUTPUT_DIR_ENV = "MERTENS_OUT_DIR"
 
 POW2_FIRST = 16
-POW2_LAST = 26
 
 
 class UsageError(Exception):
@@ -63,10 +62,9 @@ def parse_schedule(spec: str, n_max: int) -> list[int]:
     """Schedule mini-language: 'pow2', comma list, or 'a..b:step'."""
     spec = spec.strip()
     if spec == "pow2":
-        ts = [1 << k for k in range(POW2_FIRST, POW2_LAST + 1) if (1 << k) <= n_max]
-        if not ts:
-            ts = [n_max]
-        return ts
+        # 2^16 .. 2^floor(log2 n_max)
+        ts = [1 << k for k in range(POW2_FIRST, n_max.bit_length())]
+        return ts or [n_max]
     if ".." in spec:
         head, _, step_s = spec.partition(":")
         a_s, _, b_s = head.partition("..")
@@ -75,8 +73,14 @@ def parse_schedule(spec: str, n_max: int) -> list[int]:
         a, b, step = parse_scale(a_s), parse_scale(b_s), parse_scale(step_s)
         if b < a:
             raise UsageError(f"bad range schedule {spec!r}")
+        # refused before the list is built, which could be any length
+        if b - (b - a) % step > n_max:
+            raise UsageError(f"schedule {spec!r} exceeds --max {n_max}")
         return list(range(a, b + 1, step))
-    return [parse_scale(tok) for tok in spec.split(",") if tok.strip()]
+    ts = [parse_scale(tok) for tok in spec.split(",") if tok.strip()]
+    if not ts:
+        raise UsageError(f"schedule {spec!r} has no thresholds")
+    return ts
 
 
 def _out_path(path: str) -> str:
@@ -173,7 +177,7 @@ def cmd_verify(args) -> int:
 
     text = "\n".join(lines) + "\n"
     if args.report:
-        with open(_out_path(args.report), "w", encoding="ascii", newline="\n") as fh:
+        with accumulators.open_atomic(_out_path(args.report)) as fh:
             fh.write(text)
     sys.stdout.write(text)
     return EXIT_OK if n_fail == 0 else EXIT_BOUND_FAILED

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import accumulators, primes, special
 from .special import EvaluatedReal
 
@@ -87,20 +85,17 @@ def H_direct(prime_limit: int) -> EvaluatedReal:
     """Oracle for H: (1/k) sum over primes p <= prime_limit of p^-k, k >= 2.
 
     Powers stop once p^-k < 10^-18; the omitted-prime tail is bounded by
-    sum_{n>prime_limit} 1/n^2 <= 1/prime_limit.
+    sum_{n>prime_limit} 1/n^2 <= 1/prime_limit.  The primes are streamed,
+    so memory does not grow with prime_limit.
     """
     if prime_limit < 10**3:
         raise ValueError(f"prime_limit must be >= 1000, got {prime_limit}")
-    p = primes.primes_up_to(prime_limit).astype(np.float64)
-    parts = []
+    # the cutoff 10^(18/k) falls below the first prime at k = 60
+    powers = []
     k = 2
-    while True:
-        cutoff = 10.0 ** (18.0 / k)
-        sub = p if cutoff >= p[-1] else p[: int(np.searchsorted(p, cutoff, side="right"))]
-        if len(sub) == 0:
-            break
-        parts.append(float(accumulators.exact_sum(sub**-float(k))) / k)
-        if cutoff < 2.0:
-            break
+    while (cutoff := 10.0 ** (18.0 / k)) >= 2.0:
+        powers.append((k, cutoff))
         k += 1
+    sums = accumulators.inverse_power_sums(prime_limit, powers)
+    parts = [float(s) / k for (k, _), s in zip(powers, sums)]
     return EvaluatedReal(math.fsum(parts), 1.0 / prime_limit)

@@ -49,7 +49,9 @@ class PrimeSegment:
 
     def primes(self) -> np.ndarray:
         """Primes in [lo, hi), ascending, as int64."""
-        odds = self.odd_base + 2 * np.flatnonzero(self.bits).astype(np.int64)
+        odds = np.flatnonzero(self.bits).astype(np.int64, copy=False)
+        odds *= 2
+        odds += self.odd_base
         if self.lo <= 2 < self.hi:
             return np.concatenate(([np.int64(2)], odds))
         return odds

@@ -1,6 +1,9 @@
+import itertools
 import math
+import os
 import pathlib
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mertens import accumulators, primes
+from mertens import accumulators, constants, primes
 from mertens.accumulators import (
+    BLOCK,
     BudgetError,
     CheckpointFormatError,
     CheckpointSeries,
     SumCheckpoint,
+    SumScratch,
     accumulate,
     exact_sum,
     load_checkpoints,
@@ -314,6 +319,29 @@ class TestExactSum:
         with pytest.raises(ValueError):
             exact_sum(np.array([1.0, bad, 2.0]))
 
+    @given(st.lists(
+        st.lists(st.one_of(finite, subnormal, wide, zero), max_size=60),
+        min_size=1, max_size=8,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_one_scratch_for_a_sequence_of_arrays(self, arrays):
+        # a scratch that grows as the lengths rise, and one that never has
+        # to: neither may let the values of one call leak into the next
+        for scratch in (SumScratch(), SumScratch(60)):
+            for vals in arrays:
+                x = np.array(vals, dtype=np.float64)
+                assert exact_sum(x, scratch) == sum(map(Fraction, vals), Fraction(0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_with_a_used_scratch(self, bad):
+        scratch = SumScratch()
+        x = np.array([2.0**-1074, -0.0, 3.5, 1e300])
+        assert exact_sum(x, scratch) == sum(map(Fraction, x.tolist()))
+        with pytest.raises(ValueError):
+            exact_sum(np.array([1.0, bad]), scratch)
+        # the finite values of the rejected call leave no trace behind
+        assert exact_sum(x[1:3], scratch) == Fraction(3.5)
+
 
 def _fsum_arguments(text):
     """The argument text of every math.fsum( call, parentheses balanced."""
@@ -335,3 +363,91 @@ def test_one_summation_primitive():
             # a generator over .tolist() feeds fsum math-computed terms
             direct = " for " not in arg and arg.rstrip().endswith(".tolist()")
             assert not direct, (f.name, arg)
+
+
+def _exact_prefix_sums(terms, ends):
+    """sum(map(Fraction, terms[:e])) for each e in ``ends``, summed as
+    integers over 2^-1074, of which every float64 is a multiple."""
+    scaled = [n << (1075 - d.bit_length())
+              for n, d in map(float.as_integer_ratio, terms.tolist())]
+    prefix = list(itertools.accumulate(scaled, initial=0))
+    return [Fraction(prefix[e], 1 << 1074) for e in ends]
+
+
+@pytest.mark.parametrize("segment", [0, 1])
+def test_checkpoints_next_to_a_block_boundary(segment):
+    # The checkpoint falls on the j-th prime of a segment, so that the
+    # chunk before it holds one block less one, one block, or one block
+    # and one; a second checkpoint ends the segment.
+    span = 2 * primes.DEFAULT_SEGMENT_SIZE
+    lo, end = 2 + segment * span, 1 + (segment + 1) * span
+    p = primes.primes_up_to(end)
+    first = int(np.searchsorted(p, lo))
+    assert len(p) - first > BLOCK + 1
+    ends = [first + j for j in (BLOCK - 1, BLOCK, BLOCK + 1)] + [len(p)]
+    f = p.astype(np.float64)
+    logs = np.log(f)
+    exact = [_exact_prefix_sums(t, ends) for t in (1.0 / f, logs / f, logs)]
+    # the integer oracle agrees with the Fraction sum where that is quick
+    assert _exact_prefix_sums(logs, [500])[0] == sum(map(Fraction, logs[:500].tolist()))
+    for i, e in enumerate(ends[:3]):
+        t = int(p[e - 1])
+        series = accumulate(end, [t, end])
+        for cp, k in zip(series, (i, 3)):
+            assert cp.pi == ends[k]
+            pairs = [(cp.recip_sum, cp.recip_comp),
+                     (cp.logp_over_p, cp.logp_comp), (cp.theta, cp.theta_comp)]
+            for (s, c), sums in zip(pairs, exact):
+                assert Fraction(s) + Fraction(c) == sums[k]
+
+
+# Fixed whatever the limit: one segment bitmap and its primes, about
+# 2 MiB at the default segment size, plus one block of scratch, about 3 MiB.
+STREAM_PEAK_BOUND = 8 << 20
+
+
+@pytest.mark.parametrize("run", [
+    lambda: constants.H_direct(2**23),
+    lambda: accumulate(2**24, [2**20, 2**24]),
+], ids=["H_direct(2^23)", "accumulate(2^24)"])
+def test_a_stream_holds_one_segment_and_one_scratch(run):
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < STREAM_PEAK_BOUND
+
+
+def _fail_after(calls, real):
+    """``real``, which raises OSError from its ``calls``-th call on."""
+    count = itertools.count(1)
+
+    def fail(*args):
+        if next(count) >= calls:
+            raise OSError(28, "No space left on device")
+        return real(*args)
+
+    return fail
+
+
+@pytest.mark.parametrize("where", ["row 500", "fsync"])
+def test_a_failed_save_keeps_the_old_file(where, tmp_path, monkeypatch):
+    path = tmp_path / "cp.csv"
+    schedule = list(range(2**10, 2**20 + 1, 2**10))
+    save_checkpoints(accumulate(2**19, schedule[:512]), path)
+    old = path.read_bytes()
+    if where == "fsync":
+        monkeypatch.setattr(os, "fsync", _fail_after(1, os.fsync))
+    else:
+        # six formatted fields a row: this fails inside row 500, when the
+        # rows before it are already in the temporary file
+        monkeypatch.setattr(accumulators, "_fmt", _fail_after(6 * 500, accumulators._fmt))
+    with pytest.raises(OSError):
+        save_checkpoints(accumulate(2**20, schedule), path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cp.csv"]
+    monkeypatch.undo()
+    extended = accumulators.extend(load_checkpoints(path), 2**20, schedule)
+    assert extended.checkpoints == accumulate(2**20, schedule).checkpoints

@@ -1,8 +1,16 @@
+import contextlib
+import io
+import itertools
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mertens import cli, primes
+from mertens import accumulators, cli, primes
 from mertens.cli import (
     EXIT_BOUND_FAILED,
     EXIT_OK,
@@ -33,7 +41,7 @@ class TestParsing:
 
     def test_parse_schedule_pow2(self):
         assert parse_schedule("pow2", 2**20) == [2**k for k in range(16, 21)]
-        assert parse_schedule("pow2", 2**30) == [2**k for k in range(16, 27)]
+        assert parse_schedule("pow2", 2**30) == [2**k for k in range(16, 31)]
         assert parse_schedule("pow2", 1000) == [1000]
 
     def test_parse_schedule_list_and_range(self):
@@ -56,6 +64,13 @@ class TestSums:
         rc = main(["sums", "--max", "2^20", "--checkpoints", str(path)])
         assert rc == EXIT_OK
         assert "wrote 5 checkpoints" in capsys.readouterr().out
+
+    def test_pow2_row_count_past_2_26(self, tmp_path, capsys):
+        path = tmp_path / "cp.csv"
+        rc = main(["sums", "--max", "2^27", "--checkpoints", str(path)])
+        assert rc == EXIT_OK
+        assert "wrote 12 checkpoints" in capsys.readouterr().out
+        assert path.read_text().splitlines()[-1].startswith("134217728,7603553,")
 
     def test_resume_extends(self, tmp_path, capsys):
         path = tmp_path / "cp.csv"
@@ -192,3 +207,166 @@ def test_bad_workers_exit_2_before_any_pool_or_sieve(
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"workers must be an integer in [1, 64], got {workers}" in err
+
+
+def _fail_after(calls, real):
+    """``real``, which raises OSError from its ``calls``-th call on."""
+    count = itertools.count(1)
+
+    def fail(*args):
+        if next(count) >= calls:
+            raise OSError(28, "No space left on device")
+        return real(*args)
+
+    return fail
+
+
+def test_a_failed_write_keeps_the_file_that_resume_needs(tmp_path, monkeypatch, capsys):
+    path, fresh = tmp_path / "cp.csv", tmp_path / "fresh.csv"
+    argv = ["sums", "--schedule", "2^10..2^20:2^10", "--checkpoints", str(path)]
+    assert main(["sums", "--max", "2^19", "--schedule", "2^10..2^19:2^10",
+                 "--checkpoints", str(path)]) == EXIT_OK
+    old = path.read_bytes()
+    # six formatted fields a row: the write fails inside row 700 of 1024
+    monkeypatch.setattr(accumulators, "_fmt", _fail_after(6 * 700, accumulators._fmt))
+    assert main(argv + ["--max", "2^20", "--resume"]) == EXIT_USAGE
+    assert "No space left" in capsys.readouterr().err
+    assert path.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["cp.csv"]
+    monkeypatch.undo()
+    assert main(argv + ["--max", "2^20", "--resume"]) == EXIT_OK
+    argv[-1] = str(fresh)
+    assert main(argv + ["--max", "2^20"]) == EXIT_OK
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_a_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch, capsys):
+    report = tmp_path / "r.txt"
+    argv = ["verify", "--max", "2^16", "--only", "theta", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    old = report.read_bytes()
+    monkeypatch.setattr(os, "fsync", _fail_after(1, os.fsync))
+    assert main(argv[:2] + ["2^17"] + argv[3:]) == EXIT_USAGE
+    assert report.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == ["r.txt"]
+
+
+# --- parse_scale and parse_schedule: round trips, and exit 2 on bad input --
+
+scales = st.integers(1, 2**63 - 1)
+
+
+@given(scales)
+def test_parse_scale_round_trips_plain_integers(v):
+    assert parse_scale(str(v)) == v
+    assert parse_scale(f" {v}\n") == v
+
+
+@given(st.integers(-40, 40), st.integers(0, 70))
+def test_parse_scale_round_trips_powers(a, b):
+    if 1 <= a**b < 2**63:
+        assert parse_scale(f"{a}^{b}") == a**b
+    else:
+        with pytest.raises(UsageError):
+            parse_scale(f"{a}^{b}")
+
+
+@given(st.integers(1, 9999), st.integers(0, 12))
+def test_parse_scale_round_trips_exponent_notation(m, k):
+    # m * 10^k = (m * 5^k) * 2^k is exact in binary64 while m * 5^k < 2^53
+    assert parse_scale(f"{m}e{k}") == parse_scale(f"{m}E+{k}") == m * 10**k
+
+
+@given(st.integers(1, 2**63 - 1))
+def test_pow2_schedule_is_every_power_of_two_from_2_16(n):
+    ts = parse_schedule("pow2", n)
+    if n < 2**16:
+        assert ts == [n]
+    else:
+        assert ts == [2**k for k in range(16, len(ts) + 16)]
+        assert ts[-1] <= n < 2 * ts[-1]
+
+
+@given(st.lists(scales, min_size=1, max_size=20, unique=True), scales)
+def test_parse_schedule_round_trips_lists(ts, n):
+    ts.sort()
+    assert parse_schedule(",".join(map(str, ts)), n) == ts
+    assert parse_schedule(" , ".join(map(str, ts)) + ",", n) == ts
+
+
+@given(st.integers(1, 2**40), st.integers(1, 2**40), st.integers(1, 1000), st.data())
+def test_parse_schedule_round_trips_ranges(a, step, count, data):
+    last = a + (count - 1) * step
+    b = data.draw(st.integers(last, last + step - 1))
+    n = data.draw(st.integers(last, 2**63 - 1))
+    assert parse_schedule(f"{a}..{b}:{step}", n) == list(range(a, last + 1, step))
+
+
+bad_scales = st.one_of(
+    st.integers(max_value=0).map(str),
+    st.integers(min_value=2**63).map(str),
+    st.builds("{}.{}".format, st.integers(0, 10**6), st.integers(1, 9)),
+    st.builds("{}^-{}".format, st.integers(2, 100), st.integers(1, 100)),
+    st.builds("{}^{}".format, st.integers(2, 100), st.integers(63, 10**6)),
+    st.builds("-{}^{}".format, st.integers(2, 100), st.integers(63, 10**6)),
+    st.sampled_from(["", " ", "^", "2^", "^3", "2^3^4", "e", "1e", "inf",
+                     "nan", "-inf", "1e400", "0x10", "2**10", "1,000", "pow2"]),
+    st.text(alphabet="abcdfxyz!@#%&*()[] ", max_size=12),
+)
+
+bad_schedules = st.one_of(
+    bad_scales.filter(lambda t: "," not in t and t.strip() not in ("", "pow2")),
+    # past --max 2^20: the last of a..b:1 is b, and a..b:step begins past it
+    st.builds("1..{}:1".format, st.integers(2**20 + 1, 2**62)),
+    st.builds("{}..{}:{}".format, st.integers(2**20 + 1, 2**40),
+              st.integers(2**40, 2**62), st.integers(1, 2**62)),
+    st.builds("{}..{}".format, st.integers(1, 2**20), st.integers(1, 2**20)),
+    st.integers(2, 2**20).flatmap(
+        lambda a: st.integers(1, a - 1).map(lambda b: f"{a}..{b}:1")),
+    st.lists(st.integers(1, 2**20), min_size=2, max_size=6)
+      .filter(lambda ts: any(b <= a for a, b in zip(ts, ts[1:])))
+      .map(lambda ts: ",".join(map(str, ts))),
+    st.integers(2**20 + 1, 2**63 - 1).map("1,{}".format),
+    st.sampled_from(["", ",", " , ", "pow", "pow2,", "1..", "..5:1", "1..5:0"]),
+)
+
+
+def _run_refusing_a_stream(argv):
+    """main(argv) with stderr captured and a fresh checkpoint path.  A
+    segment past 2^14 fails the test: the small sieves of a Moebius table
+    or of base primes may run, a stream of primes may not."""
+    real = primes._sieve_segment
+
+    def sieve(lo, hi, base):
+        if hi > 2**14:
+            raise AssertionError(f"{argv} sieved [{lo}, {hi})")
+        return real(lo, hi, base)
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(primes, "_sieve_segment", sieve), \
+            contextlib.redirect_stderr(err):
+        argv = argv + ["--checkpoints", os.path.join(tmp, "cp.csv")]
+        return main(argv), err.getvalue()
+
+
+@given(bad_scales)
+@settings(max_examples=100, deadline=None)
+def test_every_bad_scale_exits_2(text):
+    with pytest.raises(UsageError):
+        parse_scale(text)
+    for command in ("sums", "verify"):
+        rc, err = _run_refusing_a_stream([command, f"--max={text}"])
+        assert rc == EXIT_USAGE and err.startswith("error: "), (command, text, err)
+
+
+@given(bad_schedules)
+@example("")
+@example(" , ")
+@example("1..2^62:1")
+@settings(max_examples=100, deadline=None)
+def test_every_bad_schedule_exits_2(spec):
+    for command in ("sums", "verify"):
+        rc, err = _run_refusing_a_stream(
+            [command, "--max", "2^20", f"--schedule={spec}"])
+        assert rc == EXIT_USAGE and err.startswith("error: "), (command, spec, err)

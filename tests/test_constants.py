@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from mertens import constants
+from mertens import accumulators, constants, primes
 from mertens.constants import H_direct, compute_B, compute_H
 
 
@@ -75,6 +76,18 @@ def test_H_direct_agreement_at_1e7():
     d = H_direct(10**7)
     H, _, _ = compute_H(1e-12)
     assert abs(d.value - H.value) < 2e-7
+
+
+def test_H_direct_equals_the_sum_over_all_primes_at_once():
+    # the oracle as it was before it streamed: every prime in one array and
+    # one exact sum per k; 3e6 spans two segments and several blocks
+    limit = 3 * 10**6
+    p = primes.primes_up_to(limit).astype(np.float64)
+    parts = []
+    for k in range(2, 60):
+        sub = p[p <= 10.0 ** (18.0 / k)]
+        parts.append(float(accumulators.exact_sum(sub ** -float(k))) / k)
+    assert H_direct(limit).value == math.fsum(parts)
 
 
 def test_H_direct_rejects_small_limit():
