@@ -1,13 +1,15 @@
 """Single-pass exact running sums over the primes, with checkpoints.
 
 One sieve pass records pi(x), sum 1/p, sum ln(p)/p, and theta(x) at a
-schedule of thresholds.  Each chunk of terms is summed by ``exact_sum``
-into exact rational running sums, so a checkpoint depends only on x: not
-on segment size, worker count, resume point or chunking.
+schedule of thresholds.  Each block of terms is summed by ``exact_sum``,
+cut at the thresholds inside it, into exact integer running sums, so a
+checkpoint depends only on x: not on segment size, worker count, resume
+point or blocking.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
 import os
@@ -42,8 +44,10 @@ class CheckpointFormatError(ValueError):
         super().__init__(f"line {line}, field {field_name!r}: {message}")
 
 
-# Primes per block of a stream: a scratch holds one block, so the working
-# set of a stream is a few MB at any segment size.
+# Primes per block of a stream: a scratch holds one block and one row of
+# terms, about 2 MB at any segment size.  2^15 peaks about 1 MB lower, but
+# has twice the blocks, and a block has a fixed cost of about 180 us (three
+# kernel calls), which made a stream to 2^30 about 4 % slower.
 BLOCK = 1 << 16
 
 
@@ -71,57 +75,99 @@ class SumScratch:
             self.size = n
 
 
-def exact_sum(x: np.ndarray, scratch: SumScratch | None = None) -> Fraction:
+# Every float64 is an integer multiple of 2^-1074, so the package keeps an
+# exact sum of float64 values as a Python int counting that unit: adding
+# two such sums needs no gcd, unlike adding Fractions.
+UNIT_BITS = 1074
+
+
+def exact_sum(x: np.ndarray, scratch: SumScratch | None = None, ends=None):
     """The exact rational sum of a float64 array, in any order.
+
+    With ``ends``, a non-decreasing sequence of piece ends in [0, len(x)],
+    it returns instead the exact sum of each piece x[e_{i-1}:e_i] (e_0 = 0)
+    in one call, as a list of ints counting 2^-UNIT_BITS; an empty piece
+    sums to 0, and values past the last end are not summed.  Without it,
+    x is one piece, and its sum is returned as a Fraction.
 
     Each value is split as x = m * 2^e with an integer |m| < 2^53.  The
     mantissas are summed in two int64 limbs, m = hi * 2^26 + lo, first over
-    each run of equal exponents and then, run totals only, per exponent;
-    neither step can overflow below 2^36 values.  The per-exponent totals
-    are combined once in Python integers.  Monotone input, such as the
-    terms of a prime sum, has a few runs; any other order has up to one run
-    per value and is as exact.  Every array as long as ``x`` comes from
-    ``scratch``, a fresh one when it is None.  Raises ValueError on NaN,
-    infinity, or 2^36 values or more.
+    each run of equal exponents within a piece and then, run totals only,
+    per (piece, exponent); neither step can overflow below 2^36 values.
+    The run totals are grouped by one sort, so the Python combine visits
+    only the (piece, exponent) pairs present, and no array is as long as
+    pieces times exponents.
+    Monotone input, such as the terms of a prime sum, has a few runs a
+    piece; any other order has up to one run per value and is as exact.
+    Every array as long as ``x`` comes from ``scratch``, a fresh one when
+    it is None.  Raises ValueError on NaN, infinity, 2^36 values or more,
+    or ends out of order or out of range.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if n >= 1 << 36:
+    if x.size >= 1 << 36:
         raise ValueError("exact_sum needs fewer than 2^36 values")
-    if not n:
-        return Fraction(0)
-    if scratch is None:
-        scratch = SumScratch()
-    scratch.fit(n)
-    frac, exp = scratch.frac[:n], scratch.exp[:n]
-    mant, run = scratch.mant[:n], scratch.run[:n]
-    if not np.isfinite(x, out=run).all():
-        raise ValueError("exact_sum needs finite values")
-    np.frexp(x, out=(frac, exp))
-    np.multiply(frac, 2.0**53, out=mant, casting="unsafe")
-    run[0] = True
-    np.not_equal(exp[1:], exp[:-1], out=run[1:])
-    starts = np.flatnonzero(run)
-    key = exp[starts]
-    base = min(int(key.min()), 0)
-    key -= base
-    hi = np.zeros(int(key.max()) + 1, dtype=np.int64)
-    lo = np.zeros_like(hi)
-    # the low limbs take the memory of frac, which mant has replaced
-    low = frac.view(np.int64)
-    np.bitwise_and(mant, (1 << 26) - 1, out=low)
-    np.add.at(lo, key, np.add.reduceat(low, starts))
-    mant >>= 26
-    np.add.at(hi, key, np.add.reduceat(mant, starts))
-    limbs = enumerate(zip(hi.tolist(), lo.tolist()))
-    total = sum(((h << 26) + l) << k for k, (h, l) in limbs)
-    return Fraction(total, 1 << (53 - base))
+    cuts = np.asarray([x.size] if ends is None else ends, dtype=np.int64)
+    if cuts.size and (cuts[0] < 0 or cuts[-1] > x.size
+                      or (cuts[1:] < cuts[:-1]).any()):
+        raise ValueError("ends must be non-decreasing, within [0, len(x)]")
+    n = int(cuts[-1]) if cuts.size else 0
+    sums = [0] * cuts.size
+    if n:
+        if scratch is None:
+            scratch = SumScratch()
+        scratch.fit(n)
+        frac, exp = scratch.frac[:n], scratch.exp[:n]
+        mant, run = scratch.mant[:n], scratch.run[:n]
+        if not np.isfinite(x[:n], out=run).all():
+            raise ValueError("exact_sum needs finite values")
+        np.frexp(x[:n], out=(frac, exp))
+        np.multiply(frac, 2.0**53, out=mant, casting="unsafe")
+        # a run starts at the first value, at each exponent change and at
+        # each cut, so no run spans two pieces
+        run[0] = True
+        np.not_equal(exp[1:], exp[:-1], out=run[1:])
+        run[cuts[cuts < n]] = True
+        starts = np.flatnonzero(run)
+        e = exp[starts]
+        base = int(e.min())
+        width = int(e.max()) - base + 1
+        key = cuts.searchsorted(starts, side="right") * width + (e - base)
+        # sort the runs by (piece, exponent), so that the groups, and the
+        # work and memory they take, follow the runs present
+        order = key.argsort()
+        key = key[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        # the low limbs take the memory of frac, which mant has replaced
+        low = frac.view(np.int64)
+        np.bitwise_and(mant, (1 << 26) - 1, out=low)
+        lo = np.add.reduceat(np.add.reduceat(low, starts)[order], first)
+        mant >>= 26
+        hi = np.add.reduceat(np.add.reduceat(mant, starts)[order], first)
+        for b, h, l in zip(key[first].tolist(), hi.tolist(), lo.tolist()):
+            piece, k = divmod(b, width)
+            sums[piece] += ((h << 26) + l) << k
+        # a bin total counts 2^(base - 53); every piece sum is a whole
+        # number of units, so the right shift, when there is one, is exact
+        shift = base - 53 + UNIT_BITS
+        sums = [s << shift if shift >= 0 else s >> -shift for s in sums]
+    if ends is None:
+        return Fraction(sums[0], 1 << UNIT_BITS)
+    return sums
 
 
-def _split(total: Fraction) -> tuple[float, float]:
-    """The sum rounded once, and the residual: exact for every streamed sum."""
-    head = float(total)
-    return head, float(total - Fraction(head))
+def _units(v: float) -> int:
+    """The float ``v`` as an exact count of 2^-UNIT_BITS."""
+    num, den = v.as_integer_ratio()
+    return num << (UNIT_BITS + 1 - den.bit_length())
+
+
+def _split(total: int) -> tuple[float, float]:
+    """The sum rounded once, and the residual: exact for every streamed sum.
+
+    ``total`` counts 2^-UNIT_BITS; int / int rounds correctly in CPython.
+    """
+    head = total / (1 << UNIT_BITS)
+    return head, (total - _units(head)) / (1 << UNIT_BITS)
 
 
 @dataclass(frozen=True)
@@ -167,6 +213,17 @@ class CheckpointSeries:
         return len(self.checkpoints)
 
 
+def check_budget(n_max: int, force: bool = False) -> None:
+    """Raise BudgetError if a stream to ``n_max`` exceeds the desk-scale
+    budget and ``force`` is not set.  The CLI calls it before it builds a
+    schedule, whose length can grow with n_max."""
+    if n_max > MAX_DEFAULT_LIMIT and not force:
+        raise BudgetError(
+            f"n_max={n_max} exceeds the desk-scale budget {MAX_DEFAULT_LIMIT}; "
+            "pass force=True (CLI: --force) to override"
+        )
+
+
 def accumulate(
     n_max,
     schedule,
@@ -178,40 +235,42 @@ def accumulate(
     """Stream primes once and checkpoint all four sums at each threshold.
 
     ``schedule`` is an ascending list of integer thresholds <= n_max.
+    Each block of at most BLOCK primes costs one ``exact_sum`` call per
+    sum, cut at every threshold inside the block, so the cost of the
+    stream does not grow with the number of thresholds.
     """
     n_max = int(n_max)
+    check_budget(n_max, force)
     schedule = [int(t) for t in schedule]
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly ascending")
     if schedule and schedule[-1] > n_max:
         raise ValueError(f"schedule exceeds n_max={n_max}")
-    if n_max > MAX_DEFAULT_LIMIT and not force:
-        raise BudgetError(
-            f"n_max={n_max} exceeds the desk-scale budget {MAX_DEFAULT_LIMIT}; "
-            "pass force=True (CLI: --force) to override"
-        )
 
     pi = 0
-    # exact running sums of 1/p, ln(p)/p and ln p
-    sums = [Fraction(0)] * 3
+    # exact running sums of 1/p, ln(p)/p and ln p, counting 2^-UNIT_BITS
+    sums = [0] * 3
     start = 2
+    i = 0  # the next threshold of the schedule to record
     if _resume_from is not None:
         cp = _resume_from
         pi = cp.pi
         sums = [
-            Fraction(cp.recip_sum) + Fraction(cp.recip_comp),
-            Fraction(cp.logp_over_p) + Fraction(cp.logp_comp),
-            Fraction(cp.theta) + Fraction(cp.theta_comp),
+            _units(cp.recip_sum) + _units(cp.recip_comp),
+            _units(cp.logp_over_p) + _units(cp.logp_comp),
+            _units(cp.theta) + _units(cp.theta_comp),
         ]
         start = cp.x + 1
-        schedule = [t for t in schedule if t > cp.x]
+        i = bisect.bisect_right(schedule, cp.x)
 
     out: list[SumCheckpoint] = []
-    pending = list(schedule)
-    scratch = SumScratch(BLOCK, rows=3)
+    scratch = SumScratch(BLOCK, rows=1)
 
-    def record(x):
-        out.append(SumCheckpoint(x, pi, *(v for s in sums for v in _split(s))))
+    def record(xs):
+        """Checkpoint the thresholds ``xs``, which all see the same primes."""
+        if xs:
+            vals = [v for s in sums for v in _split(s)]
+            out.extend(SumCheckpoint(x, pi, *vals) for x in xs)
 
     for seg in primes.iter_segments(
         n_max, segment_size=segment_size, workers=workers, start=start
@@ -219,37 +278,37 @@ def accumulate(
         p_all = seg.primes()
         if start > seg.lo:
             p_all = p_all[p_all >= start]
-        lo = 0
-        # Split the segment at every threshold falling inside it so a
-        # checkpoint sees exactly the primes <= its threshold.
-        while pending and pending[0] < seg.hi:
-            t = pending.pop(0)
-            hi = int(np.searchsorted(p_all, t, side="right"))
-            _consume(sums, p_all[lo:hi], scratch)
-            pi += hi - lo
-            lo = hi
-            record(t)
-        _consume(sums, p_all[lo:], scratch)
-        pi += len(p_all) - lo
-    while pending:
-        record(pending.pop(0))
+        for b in range(0, len(p_all), BLOCK):
+            block = p_all[b : b + BLOCK]
+            # thresholds below the block's first prime see none of it
+            j = bisect.bisect_left(schedule, int(block[0]), i)
+            record(schedule[i:j])
+            # those below its last prime cut it, with one cut for all that
+            # see the same primes; the others wait for the next block
+            i, j = j, bisect.bisect_left(schedule, int(block[-1]), j)
+            cuts = block.searchsorted(schedule[i:j], side="right").tolist()
+            ends = sorted(set(cuts)) + [len(block)]
+            # schedule[bounds[k] : bounds[k + 1]] see the primes up to ends[k]
+            bounds = [i + bisect.bisect_left(cuts, e) for e in ends] + [j]
+            # one row of scratch takes each row of terms in turn
+            terms = scratch.rows[0, : len(block)]
+            np.divide(1.0, block, out=terms)
+            recip = exact_sum(terms, scratch, ends)
+            np.log(block, out=terms)
+            logp = exact_sum(terms, scratch, ends)
+            np.divide(terms, block, out=terms)
+            pieces = [recip, exact_sum(terms, scratch, ends), logp]
+            pi0 = pi
+            for k, (e, *piece) in enumerate(zip(ends, *pieces)):
+                sums = [s + d for s, d in zip(sums, piece)]
+                pi = pi0 + e
+                record(schedule[bounds[k] : bounds[k + 1]])
+            i = j
+    record(schedule[i:])
 
     return CheckpointSeries(
         schedule=",".join(str(c.x) for c in out), checkpoints=out
     )
-
-
-def _consume(sums: list[Fraction], chunk: np.ndarray, scratch: SumScratch) -> None:
-    """Add the exact sums of 1/p, ln(p)/p and ln p over ``chunk``."""
-    for i in range(0, len(chunk), BLOCK):
-        block = chunk[i : i + BLOCK]
-        recip, logp_over_p, logp = scratch.rows[:, : len(block)]
-        recip[...] = block
-        np.log(recip, out=logp)
-        np.divide(logp, recip, out=logp_over_p)
-        np.divide(1.0, recip, out=recip)
-        for j, terms in enumerate((recip, logp_over_p, logp)):
-            sums[j] += exact_sum(terms, scratch)
 
 
 def inverse_power_sums(n, powers) -> list[Fraction]:

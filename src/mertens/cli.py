@@ -96,6 +96,8 @@ def _fmt_real(v: float) -> str:
 
 def cmd_sums(args) -> int:
     n_max = parse_scale(args.max)
+    # before the schedule, whose length can grow with --max
+    accumulators.check_budget(n_max, args.force)
     schedule = parse_schedule(args.schedule, n_max)
     path = _out_path(args.checkpoints)
     if os.path.exists(path) and args.resume:
@@ -138,6 +140,7 @@ def _series_for_verify(args):
     if not args.max:
         raise UsageError("verify needs --max or an existing --checkpoints file")
     n_max = parse_scale(args.max)
+    accumulators.check_budget(n_max, args.force)
     schedule = parse_schedule(args.schedule, n_max)
     series = accumulators.accumulate(
         n_max, schedule, workers=args.workers, force=args.force,

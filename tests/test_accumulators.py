@@ -18,6 +18,7 @@ from mertens.accumulators import (
     CheckpointFormatError,
     CheckpointSeries,
     SumCheckpoint,
+    UNIT_BITS,
     SumScratch,
     accumulate,
     exact_sum,
@@ -343,6 +344,54 @@ class TestExactSum:
         assert exact_sum(x[1:3], scratch) == Fraction(3.5)
 
 
+    @given(
+        st.lists(st.one_of(finite, subnormal, wide, zero), max_size=60),
+        st.randoms(use_true_random=False),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_piece_matches_fraction_oracle(self, vals, rnd, data):
+        n = len(vals)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8)))
+        scratch = SumScratch()
+        rnd.shuffle(vals)
+        for order in (vals, sorted(vals)):
+            x = np.array(order, dtype=np.float64)
+            # random cuts, which may repeat and stop short of the end, and
+            # cuts next to both ends
+            for ends in (cuts, cuts + [n], [1, n - 1, n] if n >= 2 else [n]):
+                want = [sum(map(Fraction, order[a:b]), Fraction(0))
+                        for a, b in zip([0] + ends, ends)]
+                got = exact_sum(x, scratch, ends)
+                assert [Fraction(v, 1 << UNIT_BITS) for v in got] == want
+
+    def test_many_pieces_over_wide_exponents_take_memory_by_the_runs(self):
+        # 4,000 values, each its own piece, with exponents over -1000..1000:
+        # bins for every (piece, exponent) pair would take about 190 MB
+        rnd = np.random.default_rng(7)
+        x = np.ldexp(rnd.uniform(0.5, 1.0, 4000), rnd.integers(-1000, 1000, 4000))
+        ends = list(range(1, 4001))
+        scratch = SumScratch(4000)
+        tracemalloc.start()
+        try:
+            got = exact_sum(x, scratch, ends)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert got == [int(Fraction(v) * (1 << UNIT_BITS)) for v in x.tolist()]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pieces_reject_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            exact_sum(np.array([1.0, 2.0, bad, 2.0]), SumScratch(), [1, 3, 4])
+
+    @pytest.mark.parametrize("ends", [[2, 1], [-1, 3], [1, 4]])
+    def test_pieces_reject_ends_out_of_order_or_range(self, ends):
+        with pytest.raises(ValueError):
+            exact_sum(np.ones(3), None, ends)
+
+
 def _fsum_arguments(text):
     """The argument text of every math.fsum( call, parentheses balanced."""
     for m in re.finditer(r"math\.fsum\(", text):
@@ -451,3 +500,53 @@ def test_a_failed_save_keeps_the_old_file(where, tmp_path, monkeypatch):
     monkeypatch.undo()
     extended = accumulators.extend(load_checkpoints(path), 2**20, schedule)
     assert extended.checkpoints == accumulate(2**20, schedule).checkpoints
+
+
+@pytest.mark.parametrize("size", [2**10, primes.DEFAULT_SEGMENT_SIZE])
+def test_a_threshold_at_every_integer(size):
+    # x < 2, runs of thresholds with no prime between them, and, at 2^10,
+    # thresholds on every segment edge
+    n = 2 * 10**5
+    schedule = range(1, n + 1)
+    p = primes.primes_up_to(n)
+    f = p.astype(np.float64)
+    logs = np.log(f)
+    counts = range(len(p) + 1)
+    exact = [_exact_prefix_sums(t, counts) for t in (1.0 / f, logs / f, logs)]
+    series = accumulate(n, schedule, segment_size=size)
+    assert [cp.x for cp in series] == list(schedule)
+    pis = np.searchsorted(p, np.arange(1, n + 1), side="right").tolist()
+    rows = {}
+    for cp, pi in zip(series, pis):
+        assert cp.pi == pi
+        vals = (cp.recip_sum, cp.recip_comp, cp.logp_over_p, cp.logp_comp,
+                cp.theta, cp.theta_comp)
+        if pi not in rows:
+            for s, c, sums in zip(vals[0::2], vals[1::2], exact):
+                assert Fraction(s) + Fraction(c) == sums[pi]
+                assert s == float(sums[pi])
+            rows[pi] = vals
+        assert vals == rows[pi]
+    half = CheckpointSeries("", series.checkpoints[: n // 2])
+    extended = accumulators.extend(half, n, schedule, segment_size=size)
+    assert extended.checkpoints == series.checkpoints
+
+
+def test_kernel_calls_do_not_grow_with_the_schedule(monkeypatch):
+    n = 2**22
+    blocks = sum(-(-len(seg.primes()) // BLOCK) for seg in primes.iter_segments(n))
+    calls = []
+    real = accumulators.exact_sum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(accumulators, "exact_sum", counting)
+    counts = []
+    for schedule in (range(2**10, n + 1, 2**10), [n]):
+        calls.clear()
+        accumulate(n, schedule)
+        counts.append(len(calls))
+    # one call per sum and block, for 4,096 thresholds as for one
+    assert counts == [3 * blocks] * 2

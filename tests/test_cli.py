@@ -87,6 +87,21 @@ class TestSums:
         assert rc == EXIT_USAGE
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sums", "verify"])
+    def test_budget_is_checked_before_the_schedule_is_built(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        # 1..2^40:1 would be a list of 2^40 ints: the budget must refuse
+        # --max before parse_schedule can build it
+        def fail(*args):
+            raise AssertionError("parse_schedule ran before the budget check")
+
+        monkeypatch.setattr(cli, "parse_schedule", fail)
+        rc = main([command, "--max", "2^40", "--schedule", "1..2^40:1",
+                   "--checkpoints", str(tmp_path / "cp.csv")])
+        assert rc == EXIT_USAGE
+        assert "budget" in capsys.readouterr().err
+
 
 class TestConstants:
     def test_values_in_json(self, capsys):
