@@ -334,6 +334,18 @@ def inverse_power_sums(n, powers) -> list[Fraction]:
     return sums
 
 
+def range_sum(f, a: int, b: int) -> int:
+    """The exact sum of f(n) over the integers a <= n <= b, in 2^-UNIT_BITS.
+    ``f`` maps float64 arrays of at most BLOCK consecutive integers to their
+    terms, summed through one scratch, so memory does not grow with b - a."""
+    total = 0
+    scratch = SumScratch(BLOCK)
+    for lo in range(a, b + 1, BLOCK):
+        n = np.arange(lo, min(lo + BLOCK, b + 1), dtype=np.float64)
+        total += exact_sum(f(n), scratch, [len(n)])[0]
+    return total
+
+
 def extend(series: CheckpointSeries, n_max, schedule, **kwargs) -> CheckpointSeries:
     """Extend a series to new thresholds without recomputing covered ones."""
     if not series.checkpoints:

@@ -22,6 +22,8 @@ EXIT_USAGE = 2
 OUTPUT_DIR_ENV = "MERTENS_OUT_DIR"
 
 POW2_FIRST = 16
+# The most thresholds a schedule may have: each is a checkpoint in memory.
+MAX_CHECKPOINTS = 1 << 20
 
 
 class UsageError(Exception):
@@ -76,11 +78,14 @@ def parse_schedule(spec: str, n_max: int) -> list[int]:
         # refused before the list is built, which could be any length
         if b - (b - a) % step > n_max:
             raise UsageError(f"schedule {spec!r} exceeds --max {n_max}")
-        return list(range(a, b + 1, step))
-    ts = [parse_scale(tok) for tok in spec.split(",") if tok.strip()]
-    if not ts:
-        raise UsageError(f"schedule {spec!r} has no thresholds")
-    return ts
+        ts = range(a, b + 1, step)  # its len is (b - a) // step + 1
+    else:
+        ts = [parse_scale(tok) for tok in spec.split(",") if tok.strip()]
+        if not ts:
+            raise UsageError(f"schedule {spec!r} has no thresholds")
+    if len(ts) > MAX_CHECKPOINTS:
+        raise UsageError(f"schedule has {len(ts)} thresholds, over {MAX_CHECKPOINTS}")
+    return list(ts)
 
 
 def _out_path(path: str) -> str:

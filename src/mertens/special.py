@@ -16,6 +16,8 @@ import numpy as np
 
 from . import accumulators, primes
 
+_UNIT = 1 << accumulators.UNIT_BITS  # a range_sum / _UNIT is rounded once
+
 # Documented global allowance for accumulated binary64 rounding, relative.
 ROUNDING_ALLOWANCE = 1e-13
 
@@ -109,9 +111,11 @@ def euler_gamma(n: int = 10**6) -> EvaluatedReal:
     """Euler's constant from H_n - ln n with Euler-Maclaurin corrections.
 
     Truncation after the n^-6 term; for n = 10^6 the omitted term is far
-    below binary64 resolution.
+    below binary64 resolution.  H_n is summed exactly in blocks.
     """
-    harmonic = float(accumulators.exact_sum(1.0 / np.arange(1, n + 1)))
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"euler_gamma requires an integer n >= 1, got {n!r}")
+    harmonic = accumulators.range_sum(lambda k: 1.0 / k, 1, n) / _UNIT
     value = (
         harmonic
         - math.log(n)
@@ -195,11 +199,16 @@ def log_weighted_tail_direct(G: int, rho: float) -> EvaluatedReal:
     return _tail_direct(G, rho)
 
 
+@lru_cache(maxsize=64)
+def _tail_prefix(rho: float, m: int) -> int:
+    # the sum over 2 <= n <= m; every G with the same N shares the one to N
+    return accumulators.range_sum(lambda n: _tail_f(n, rho), 2, m)
+
+
 def _tail_direct(G: int, rho: float) -> EvaluatedReal:
     # no domain check: the remainder identity also needs rho = 1
     N = max(10**6, 100 * G)
-    n = np.arange(G + 1, N + 1, dtype=np.float64)
-    direct = float(accumulators.exact_sum(_tail_f(n, rho)))
+    direct = (_tail_prefix(rho, N) - _tail_prefix(rho, G)) / _UNIT
     tail = exp_integral_e1(rho * math.log(N))
     # f decreasing: sum_{n>N} f(n) lies in [integral from N+1, integral from N]
     bracket = float(_tail_f(np.float64(N), rho))
@@ -239,8 +248,7 @@ def sum_log_over_n_squared(N: int = 10**4) -> EvaluatedReal:
     This is the series whose value 0.93754825... feeds the 3/2-weighted
     prime-power bound in the first fundamental lemma.
     """
-    n = np.arange(2, N, dtype=np.float64)
-    direct = float(accumulators.exact_sum(np.log(n) / n**2))
+    direct = accumulators.range_sum(lambda n: np.log(n) / n**2, 2, N - 1) / _UNIT
     lnN = math.log(N)
     integral = (lnN + 1.0) / N
     f_N = lnN / N**2

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mertens import accumulators, constants, primes
+from mertens import accumulators, constants, primes, special, verifier
 from mertens.accumulators import (
     BLOCK,
     BudgetError,
@@ -455,10 +455,18 @@ def test_checkpoints_next_to_a_block_boundary(segment):
 STREAM_PEAK_BOUND = 8 << 20
 
 
+def _remainder_checks():
+    """The suite's 12 remainder checks, with no tail total remembered."""
+    special._tail_prefix.cache_clear()
+    verifier.run_suite(CheckpointSeries(""), None, only=["remainder"])
+
+
 @pytest.mark.parametrize("run", [
     lambda: constants.H_direct(2**23),
     lambda: accumulate(2**24, [2**20, 2**24]),
-], ids=["H_direct(2^23)", "accumulate(2^24)"])
+    lambda: special.euler_gamma.__wrapped__(10**6),
+    _remainder_checks,
+], ids=["H_direct(2^23)", "accumulate(2^24)", "euler_gamma(10^6)", "remainder"])
 def test_a_stream_holds_one_segment_and_one_scratch(run):
     tracemalloc.start()
     try:
@@ -467,6 +475,24 @@ def test_a_stream_holds_one_segment_and_one_scratch(run):
     finally:
         tracemalloc.stop()
     assert peak < STREAM_PEAK_BOUND
+
+
+@pytest.mark.parametrize("a, b", [
+    (5, 4), (5, 5), (2, BLOCK + 1), (2, BLOCK + 2), (2, BLOCK + 3), (7, 3 * BLOCK + 7),
+])
+def test_range_sum_is_the_exact_sum_over_the_range(a, b):
+    seen = []
+
+    def f(n):
+        seen.append(n.copy())
+        return n ** -1.5 / np.log(n)
+
+    total = accumulators.range_sum(f, a, b)
+    n = np.arange(a, b + 1, dtype=np.float64)
+    # f saw every integer of the range once, in order, in blocks
+    assert all(0 < len(k) <= BLOCK for k in seen)
+    assert np.array_equal(np.concatenate([n[:0], *seen]), n)
+    assert total == exact_sum(f(n)) * 2**UNIT_BITS
 
 
 def _fail_after(calls, real):

@@ -365,6 +365,27 @@ def _run_refusing_a_stream(argv):
         return main(argv), err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["sums", "verify"])
+def test_a_schedule_past_the_checkpoint_cap_exits_2(command):
+    # 2^34 thresholds inside --max 2^34: refused from its length, before
+    # the list is built or anything is sieved
+    rc, err = _run_refusing_a_stream(
+        [command, "--max", "2^34", "--schedule", "1..2^34:1"])
+    assert rc == EXIT_USAGE
+    assert err == f"error: schedule has {2**34} thresholds, over {2**20}\n"
+
+
+def test_the_checkpoint_cap_counts_thresholds(monkeypatch):
+    assert cli.MAX_CHECKPOINTS == 1 << 20
+    monkeypatch.setattr(cli, "MAX_CHECKPOINTS", 10)
+    assert parse_schedule("1..10:1", 100) == list(range(1, 11))
+    assert parse_schedule("1..30:3", 100) == list(range(1, 31, 3))
+    assert parse_schedule(",".join(map(str, range(1, 11))), 100) == list(range(1, 11))
+    for spec in ("1..11:1", "1..31:3", ",".join(map(str, range(1, 12)))):
+        with pytest.raises(UsageError, match="has 11 thresholds"):
+            parse_schedule(spec, 100)
+
+
 @given(bad_scales)
 @settings(max_examples=100, deadline=None)
 def test_every_bad_scale_exits_2(text):

@@ -5,9 +5,11 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from mertens import primes, special
+from mertens import accumulators, primes, special
+from mertens.accumulators import BLOCK
 from mertens.special import (
     DomainError,
+    EvaluatedReal,
     euler_gamma,
     exp_integral_e1,
     log_weighted_tail,
@@ -123,6 +125,19 @@ class TestEulerGamma:
         val, err = scipy.integrate.quad(f, 0, np.inf, limit=200)
         assert abs(val - euler_gamma().value) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 10**6])
+    def test_is_the_one_array_formula(self, n):
+        # H_n from one array of n terms, summed exactly and rounded once
+        harmonic = float(accumulators.exact_sum(1.0 / np.arange(1, n + 1)))
+        value = (harmonic - math.log(n) - 1 / (2 * n) + 1 / (12 * n**2)
+                 - 1 / (120 * n**4) + 1 / (252 * n**6))
+        assert euler_gamma(n) == EvaluatedReal(value, 1 / (240 * n**8))
+
+    @pytest.mark.parametrize("n", [2.5, 1e6, 0, -3, "10", None])
+    def test_domain(self, n):
+        with pytest.raises(DomainError):
+            euler_gamma(n)
+
 
 class TestExpIntegralE1:
     def test_at_one_against_quadrature(self):
@@ -190,6 +205,20 @@ class TestLogWeightedTail:
         brute = math.fsum((n ** -(1 + rho) / np.log(n)).tolist())
         a = log_weighted_tail_direct(G, rho)
         assert a.value == pytest.approx(brute, abs=1e-7)
+
+    @pytest.mark.parametrize("rho", [1.0, 0.5, 0.1])
+    @pytest.mark.parametrize("G", [3, 10, 100, 10**4, 2 * 10**4])
+    def test_direct_route_is_the_one_array_formula(self, G, rho):
+        # the total for N = 10^6 is known first, so G = 2*10^4, whose N is
+        # 2*10^6, shows that the totals are kept per (rho, N)
+        special._tail_direct(10**4, rho)
+        N = max(10**6, 100 * G)
+        n = np.arange(G + 1, N + 1, dtype=np.float64)
+        direct = float(accumulators.exact_sum(special._tail_f(n, rho)))
+        tail = exp_integral_e1(rho * math.log(N))
+        bracket = float(special._tail_f(np.float64(N), rho))
+        assert special._tail_direct(G, rho) == EvaluatedReal(
+            direct + tail.value, bracket + tail.err_bound)
 
     def test_domain(self):
         with pytest.raises(DomainError):

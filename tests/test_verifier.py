@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from mertens import accumulators, verifier
+from mertens import accumulators, special, verifier
 from mertens.verifier import (
     check_abel_pi_identity,
     check_chi_inequality,
@@ -239,3 +240,22 @@ class TestSuite:
     def test_unknown_check_rejected(self, small_series, bundle):
         with pytest.raises(ValueError):
             verifier.run_suite(small_series, bundle, only=["nope"])
+
+
+def test_the_remainder_checks_sum_each_tail_once(monkeypatch):
+    # every G of the suite has N = 10^6: one total over 2..N per rho, a
+    # head over 2..G per (G, rho), and one term per check for the bracket
+    special._tail_prefix.cache_clear()
+    terms = []
+    real = special._tail_f
+
+    def counted(n, rho):
+        terms.append(np.size(n))
+        return real(n, rho)
+
+    monkeypatch.setattr(special, "_tail_f", counted)
+    reports, _ = verifier.run_suite(accumulators.CheckpointSeries(""), None,
+                                    only=["remainder"])
+    assert len(reports) == 12
+    heads = sum(G - 1 for G in (3, 10, 100, 10**4))
+    assert sum(terms) <= 3 * (10**6 - 1) + 3 * heads + 12
