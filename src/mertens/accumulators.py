@@ -220,7 +220,7 @@ def check_budget(n_max: int, force: bool = False) -> None:
     if n_max > MAX_DEFAULT_LIMIT and not force:
         raise BudgetError(
             f"n_max={n_max} exceeds the desk-scale budget {MAX_DEFAULT_LIMIT}; "
-            "pass force=True (CLI: --force) to override"
+            "pass force=True (CLI: sums/verify --force) to override"
         )
 
 

@@ -126,6 +126,8 @@ def cmd_sums(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    if args.oracle:
+        accumulators.check_budget(parse_scale(args.prime_limit))
     bundle = constants.compute_B(args.tol)
     doc = bundle.to_json_dict()
     if args.oracle:

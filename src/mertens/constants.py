@@ -90,6 +90,7 @@ def H_direct(prime_limit: int) -> EvaluatedReal:
     """
     if prime_limit < 10**3:
         raise ValueError(f"prime_limit must be >= 1000, got {prime_limit}")
+    accumulators.check_budget(prime_limit)
     # the cutoff 10^(18/k) falls below the first prime at k = 60
     powers = []
     k = 2

@@ -130,6 +130,19 @@ class TestConstants:
         assert main(["verify", "--max", "2^30", "--tol", "0.5"]) == EXIT_USAGE
         assert "tol must be in" in capsys.readouterr().err
 
+    def test_oracle_prime_limit_over_budget_exits_2_before_any_work(
+        self, monkeypatch, capsys
+    ):
+        # constants has no --force: the oracle's tail bound at 2^34 is 6e-11
+        def fail(*args):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(primes, "_sieve_segment", fail)
+        monkeypatch.setattr(cli.constants, "compute_B", fail)
+        rc = main(["constants", "--oracle", "--prime-limit", "2^35"])
+        assert rc == EXIT_USAGE
+        assert "exceeds the desk-scale budget" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_full_run(self, tmp_path, capsys):

@@ -95,6 +95,15 @@ def test_H_direct_rejects_small_limit():
         H_direct(100)
 
 
+def test_H_direct_refuses_a_limit_over_budget_before_sieving(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(primes, "_sieve_segment", fail)
+    with pytest.raises(accumulators.BudgetError):
+        H_direct(accumulators.MAX_DEFAULT_LIMIT + 1)
+
+
 def test_json_dict_shape():
     doc = compute_B(1e-10).to_json_dict()
     assert doc["schema"] == "mertens-constants v1"

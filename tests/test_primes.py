@@ -76,15 +76,57 @@ def test_matches_trial_division_to_1e5():
         assert list(primes.primes_up_to(n)) == trial_division_primes(n), n
 
 
+def check_segment(seg):
+    """``bits`` covers the odd integers of [lo, hi); ``scan`` is ``bits``
+    followed by count // 32 set entries, and ``primes`` reads exactly
+    the set entries of ``bits``."""
+    count = len(range(seg.lo | 1, seg.hi, 2))
+    assert len(seg.bits) == count
+    assert np.array_equal(seg.scan[:count], seg.bits)
+    assert seg.scan[count:].all() and seg.scan.size == count + count // 32
+    odds = np.flatnonzero(seg.bits) * 2 + seg.odd_base
+    want = np.concatenate(([2], odds)) if seg.lo <= 2 < seg.hi else odds
+    assert np.array_equal(seg.primes(), want)
+
+
 @pytest.mark.parametrize("segment_size", [1, 2, 3, 7, 7507, 15015])
 def test_small_segments_match_trial_division(segment_size):
     # these sizes start segments at every phase of the 15015-periodic wheel
-    # pattern, and put 3..13 in segments of their own
+    # pattern, and put 3..13 in segments of their own; n is even, so the
+    # last segment is cut short at hi = n + 1
     n = 2 * 10**4
-    got = np.concatenate(
-        [s.primes() for s in primes.iter_segments(n, segment_size=segment_size)]
-    )
+    segs = list(primes.iter_segments(n, segment_size=segment_size))
+    for seg in segs:
+        check_segment(seg)
+    assert segs[-1].hi == n + 1
+    got = np.concatenate([s.primes() for s in segs])
     assert got.tolist() == trial_division_primes(n)
+
+
+def test_empty_final_segment_at_wheel_phase_0():
+    # 30030 = 2 + 2 * 2 * 7507 starts a segment that holds no odd integer,
+    # and 30031 // 2 = 15015 puts it at phase 0, with no wheel period to fill
+    segs = list(primes.iter_segments(30030, segment_size=7507))
+    assert (segs[-1].lo, segs[-1].hi) == (30030, 30031)
+    for seg in segs:
+        check_segment(seg)
+
+
+@pytest.mark.parametrize("n", [2**30, 2**34])
+def test_sparse_segments_scan_more_than_a_tenth_set(n):
+    # below a tenth set, numpy's flatnonzero on bools takes a path 2-3x
+    # slower; primes fill less than that of the odd integers here
+    seg = next(primes.iter_segments(n, start=n))
+    assert seg.hi == n + 1
+    assert seg.bits.mean() < 0.1 < seg.scan.mean()
+    check_segment(seg)
+
+
+@pytest.mark.parametrize("x", [2**30, 2**34])
+def test_segments_near_large_x_extract_their_bitmap(x):
+    seg = next(primes.iter_segments(x + 2**22, start=x))
+    assert seg.lo <= x < seg.hi
+    check_segment(seg)
 
 
 @pytest.mark.parametrize("segment_size", [2**10, 2**16, 2**20])
