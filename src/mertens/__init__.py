@@ -1,11 +1,10 @@
 """Prime reciprocal sums, the Mertens constant, and explicit-bound checks."""
 
 from .accumulators import (
-    CheckpointSeries,
     SumCheckpoint,
     accumulate,
     load_checkpoints,
-    save_checkpoints,
+    write_checkpoints,
 )
 from .constants import ConstantsBundle, H_direct, compute_B, compute_H
 from .primes import legendre_valuation, moebius_up_to, primes_up_to
@@ -21,7 +20,6 @@ from .verifier import BoundReport, ErrorTableRow, mertens_error_table, run_suite
 
 __all__ = [
     "BoundReport",
-    "CheckpointSeries",
     "ConstantsBundle",
     "ErrorTableRow",
     "EvaluatedReal",
@@ -40,6 +38,6 @@ __all__ = [
     "prime_zeta",
     "primes_up_to",
     "run_suite",
-    "save_checkpoints",
+    "write_checkpoints",
     "zeta",
 ]

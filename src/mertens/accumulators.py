@@ -13,7 +13,8 @@ import bisect
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -201,18 +202,6 @@ class SumCheckpoint:
         return self.theta + self.theta_comp
 
 
-@dataclass(frozen=True)
-class CheckpointSeries:
-    schedule: str
-    checkpoints: list[SumCheckpoint] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.checkpoints)
-
-    def __len__(self):
-        return len(self.checkpoints)
-
-
 def check_budget(n_max: int, force: bool = False) -> None:
     """Raise BudgetError if a stream to ``n_max`` exceeds the desk-scale
     budget and ``force`` is not set.  The CLI calls it before it builds a
@@ -231,13 +220,16 @@ def accumulate(
     workers=1,
     force=False,
     _resume_from: SumCheckpoint | None = None,
-) -> CheckpointSeries:
-    """Stream primes once and checkpoint all four sums at each threshold.
+) -> Iterator[SumCheckpoint]:
+    """Stream primes once and yield all four sums at each threshold.
 
-    ``schedule`` is an ascending list of integer thresholds <= n_max.
-    Each block of at most BLOCK primes costs one ``exact_sum`` call per
-    sum, cut at every threshold inside the block, so the cost of the
-    stream does not grow with the number of thresholds.
+    ``schedule`` is an ascending list of integer thresholds <= n_max; it
+    is checked when the first row is asked for.  Each row is yielded as
+    soon as the primes up to its threshold are summed, and none is kept,
+    so the rows take no memory that grows with the schedule.  Each block
+    of at most BLOCK primes costs one ``exact_sum`` call per sum, cut at
+    every threshold inside the block, so the cost of the stream does not
+    grow with the number of thresholds.
     """
     n_max = int(n_max)
     check_budget(n_max, force)
@@ -263,14 +255,14 @@ def accumulate(
         start = cp.x + 1
         i = bisect.bisect_right(schedule, cp.x)
 
-    out: list[SumCheckpoint] = []
     scratch = SumScratch(BLOCK, rows=1)
 
     def record(xs):
-        """Checkpoint the thresholds ``xs``, which all see the same primes."""
-        if xs:
-            vals = [v for s in sums for v in _split(s)]
-            out.extend(SumCheckpoint(x, pi, *vals) for x in xs)
+        """The rows at thresholds ``xs``, which all see the same primes."""
+        if not xs:
+            return []
+        vals = [v for s in sums for v in _split(s)]
+        return [SumCheckpoint(x, pi, *vals) for x in xs]
 
     for seg in primes.iter_segments(
         n_max, segment_size=segment_size, workers=workers, start=start
@@ -282,7 +274,7 @@ def accumulate(
             block = p_all[b : b + BLOCK]
             # thresholds below the block's first prime see none of it
             j = bisect.bisect_left(schedule, int(block[0]), i)
-            record(schedule[i:j])
+            yield from record(schedule[i:j])
             # those below its last prime cut it, with one cut for all that
             # see the same primes; the others wait for the next block
             i, j = j, bisect.bisect_left(schedule, int(block[-1]), j)
@@ -302,13 +294,9 @@ def accumulate(
             for k, (e, *piece) in enumerate(zip(ends, *pieces)):
                 sums = [s + d for s, d in zip(sums, piece)]
                 pi = pi0 + e
-                record(schedule[bounds[k] : bounds[k + 1]])
+                yield from record(schedule[bounds[k] : bounds[k + 1]])
             i = j
-    record(schedule[i:])
-
-    return CheckpointSeries(
-        schedule=",".join(str(c.x) for c in out), checkpoints=out
-    )
+    yield from record(schedule[i:])
 
 
 def inverse_power_sums(n, powers) -> list[Fraction]:
@@ -346,17 +334,15 @@ def range_sum(f, a: int, b: int) -> int:
     return total
 
 
-def extend(series: CheckpointSeries, n_max, schedule, **kwargs) -> CheckpointSeries:
-    """Extend a series to new thresholds without recomputing covered ones."""
-    if not series.checkpoints:
-        return accumulate(n_max, schedule, **kwargs)
-    last = series.checkpoints[-1]
-    new = [t for t in schedule if t > last.x]
-    tail = accumulate(n_max, new, _resume_from=last, **kwargs)
-    merged = series.checkpoints + tail.checkpoints
-    return CheckpointSeries(
-        schedule=",".join(str(c.x) for c in merged), checkpoints=merged
-    )
+def extend(
+    rows: Iterable[SumCheckpoint], n_max, schedule, **kwargs
+) -> Iterator[SumCheckpoint]:
+    """Yield ``rows``, then the rows of ``schedule`` past the last of them,
+    resumed from it without recomputing the thresholds it covers."""
+    last = None
+    for last in rows:
+        yield last
+    yield from accumulate(n_max, schedule, _resume_from=last, **kwargs)
 
 
 def _fmt(v: float) -> str:
@@ -384,20 +370,22 @@ def open_atomic(path):
             os.remove(tmp)
 
 
-def save_checkpoints(series: CheckpointSeries, path) -> None:
+def write_checkpoints(rows: Iterable[SumCheckpoint], path) -> int:
+    """Write ``rows`` to a checkpoint file at ``path``, each as it arrives,
+    and return how many there were.  ``path`` is replaced only once the
+    last row is written: if ``rows`` or the write raises, it keeps its
+    old bytes."""
+    n = 0
     with open_atomic(path) as fh:
         fh.write(FILE_HEADER + "\n")
-        for c in series.checkpoints:
-            row = [
-                str(c.x), str(c.pi),
-                _fmt(c.recip_sum), _fmt(c.recip_comp),
-                _fmt(c.logp_over_p), _fmt(c.logp_comp),
-                _fmt(c.theta), _fmt(c.theta_comp),
-            ]
-            fh.write(",".join(row) + "\n")
+        for n, c in enumerate(rows, 1):
+            reals = (c.recip_sum, c.recip_comp, c.logp_over_p, c.logp_comp,
+                     c.theta, c.theta_comp)
+            fh.write(",".join([str(c.x), str(c.pi), *map(_fmt, reals)]) + "\n")
+    return n
 
 
-def load_checkpoints(path) -> CheckpointSeries:
+def load_checkpoints(path) -> list[SumCheckpoint]:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FILE_HEADER:
@@ -421,9 +409,7 @@ def load_checkpoints(path) -> CheckpointSeries:
         cp = SumCheckpoint(**vals)
         _check_row(ln, cp, cps[-1] if cps else None)
         cps.append(cp)
-    return CheckpointSeries(
-        schedule=",".join(str(c.x) for c in cps), checkpoints=cps
-    )
+    return cps
 
 
 # The sums before the first prime, which every first row must reach.

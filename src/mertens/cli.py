@@ -22,7 +22,9 @@ EXIT_USAGE = 2
 OUTPUT_DIR_ENV = "MERTENS_OUT_DIR"
 
 POW2_FIRST = 16
-# The most thresholds a schedule may have: each is a checkpoint in memory.
+# The most thresholds a schedule may have.  sums streams its rows to the
+# file, but the schedule is a list in memory, and verify holds a row for
+# each threshold.
 MAX_CHECKPOINTS = 1 << 20
 
 
@@ -57,6 +59,15 @@ def parse_workers(text: str) -> int:
     try:
         return primes.check_workers(int(text))
     except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def parse_prime_limit(text: str) -> int:
+    """--prime-limit: checked at parse time, with or without --oracle, so
+    a bad value fails before compute_B runs."""
+    try:
+        return constants.check_prime_limit(parse_scale(text))
+    except (UsageError, ValueError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -99,39 +110,38 @@ def _fmt_real(v: float) -> str:
     return f"{v:.16E}"
 
 
+def _printed(rows):
+    """Yield ``rows``, printing each one as it passes."""
+    for cp in rows:
+        print(
+            f"x={cp.x} pi={cp.pi} recip={_fmt_real(cp.recip)} "
+            f"logp_over_p={_fmt_real(cp.logp)} theta={_fmt_real(cp.theta_value)}"
+        )
+        yield cp
+
+
 def cmd_sums(args) -> int:
     n_max = parse_scale(args.max)
     # before the schedule, whose length can grow with --max
     accumulators.check_budget(n_max, args.force)
     schedule = parse_schedule(args.schedule, n_max)
     path = _out_path(args.checkpoints)
-    if os.path.exists(path) and args.resume:
-        series = accumulators.load_checkpoints(path)
-        series = accumulators.extend(
-            series, n_max, schedule,
-            workers=args.workers, force=args.force,
-        )
-    else:
-        series = accumulators.accumulate(
-            n_max, schedule, workers=args.workers, force=args.force,
-        )
-    accumulators.save_checkpoints(series, path)
-    for cp in series:
-        print(
-            f"x={cp.x} pi={cp.pi} recip={_fmt_real(cp.recip)} "
-            f"logp_over_p={_fmt_real(cp.logp)} theta={_fmt_real(cp.theta_value)}"
-        )
-    print(f"wrote {len(series)} checkpoints to {path}")
+    old = accumulators.load_checkpoints(path) \
+        if args.resume and os.path.exists(path) else []
+    # each row goes to stdout and to the file as the sieve reaches it
+    rows = accumulators.extend(
+        old, n_max, schedule, workers=args.workers, force=args.force,
+    )
+    n = accumulators.write_checkpoints(_printed(rows), path)
+    print(f"wrote {n} checkpoints to {path}")
     return EXIT_OK
 
 
 def cmd_constants(args) -> int:
-    if args.oracle:
-        accumulators.check_budget(parse_scale(args.prime_limit))
     bundle = constants.compute_B(args.tol)
     doc = bundle.to_json_dict()
     if args.oracle:
-        direct = constants.H_direct(parse_scale(args.prime_limit))
+        direct = constants.H_direct(args.prime_limit)
         doc["H_direct"] = {"value": direct.value, "err_bound": direct.err_bound}
         doc["H_agreement"] = abs(direct.value - bundle.H.value)
         doc["H_agreement_bound"] = direct.err_bound + bundle.H.err_bound
@@ -149,12 +159,13 @@ def _series_for_verify(args):
     n_max = parse_scale(args.max)
     accumulators.check_budget(n_max, args.force)
     schedule = parse_schedule(args.schedule, n_max)
-    series = accumulators.accumulate(
+    # the checks read the rows more than once
+    rows = list(accumulators.accumulate(
         n_max, schedule, workers=args.workers, force=args.force,
-    )
+    ))
     if args.checkpoints:
-        accumulators.save_checkpoints(series, _out_path(args.checkpoints))
-    return series
+        accumulators.write_checkpoints(rows, _out_path(args.checkpoints))
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -216,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--oracle", action="store_true",
                    help="include the direct prime-power oracle for H")
-    p.add_argument("--prime-limit", default="1e7")
+    p.add_argument("--prime-limit", type=parse_prime_limit, default="1e7")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("verify", help="run the bound/identity suite")

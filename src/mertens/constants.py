@@ -81,6 +81,15 @@ def compute_B(tol: float) -> ConstantsBundle:
     )
 
 
+def check_prime_limit(prime_limit: int) -> int:
+    """``prime_limit`` if ``H_direct`` takes it; else ValueError, or
+    BudgetError past the desk-scale budget."""
+    if prime_limit < 10**3:
+        raise ValueError(f"prime_limit must be >= 1000, got {prime_limit}")
+    accumulators.check_budget(prime_limit)
+    return prime_limit
+
+
 def H_direct(prime_limit: int) -> EvaluatedReal:
     """Oracle for H: (1/k) sum over primes p <= prime_limit of p^-k, k >= 2.
 
@@ -88,9 +97,7 @@ def H_direct(prime_limit: int) -> EvaluatedReal:
     sum_{n>prime_limit} 1/n^2 <= 1/prime_limit.  The primes are streamed,
     so memory does not grow with prime_limit.
     """
-    if prime_limit < 10**3:
-        raise ValueError(f"prime_limit must be >= 1000, got {prime_limit}")
-    accumulators.check_budget(prime_limit)
+    check_prime_limit(prime_limit)
     # the cutoff 10^(18/k) falls below the first prime at k = 60
     powers = []
     k = 2

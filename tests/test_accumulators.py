@@ -16,19 +16,18 @@ from mertens.accumulators import (
     BLOCK,
     BudgetError,
     CheckpointFormatError,
-    CheckpointSeries,
     SumCheckpoint,
     UNIT_BITS,
     SumScratch,
     accumulate,
     exact_sum,
     load_checkpoints,
-    save_checkpoints,
+    write_checkpoints,
 )
 
 
 def test_sums_at_10():
-    cp = accumulate(10, [10]).checkpoints[0]
+    cp = list(accumulate(10, [10]))[0]
     assert cp.pi == 4
     assert cp.theta_value == pytest.approx(math.log(210), abs=1e-14)
     # ln2/2 + ln3/3 + ln5/5 + ln7/7, frozen from direct evaluation
@@ -37,19 +36,18 @@ def test_sums_at_10():
 
 
 def test_empty_prime_set():
-    cp = accumulate(1, [1]).checkpoints[0]
+    cp = list(accumulate(1, [1]))[0]
     assert (cp.pi, cp.recip, cp.logp, cp.theta_value) == (0, 0.0, 0.0, 0.0)
 
 
 def test_pi_matches_stream_count():
-    series = accumulate(10**5, [10**3, 10**4, 10**5])
+    series = list(accumulate(10**5, [10**3, 10**4, 10**5]))
     for cp in series:
         assert cp.pi == sum(1 for _ in primes.primes_up_to(cp.x))
 
 
 def test_checkpoints_nondecreasing():
-    series = accumulate(10**5, [10, 100, 10**3, 10**4, 10**5])
-    cps = series.checkpoints
+    cps = list(accumulate(10**5, [10, 100, 10**3, 10**4, 10**5]))
     for a, b in zip(cps, cps[1:]):
         assert a.pi <= b.pi
         assert a.recip <= b.recip
@@ -62,20 +60,20 @@ def test_checkpoints_nondecreasing():
 
 def test_threshold_mid_segment_equals_exact_run():
     # a checkpoint inside a segment sees exactly the primes <= threshold
-    series = accumulate(10**5, [33333], segment_size=2**10)
-    direct = accumulate(33333, [33333], segment_size=2**10)
-    assert series.checkpoints[0] == direct.checkpoints[0]
+    series = list(accumulate(10**5, [33333], segment_size=2**10))
+    direct = list(accumulate(33333, [33333], segment_size=2**10))
+    assert series[0] == direct[0]
 
 
 def test_determinism_across_worker_and_segment_schedules():
     decades = [10**k for k in range(3, 8)]
-    ref = accumulate(10**7, decades)
+    ref = list(accumulate(10**7, decades))
     for segment_size, workers in [
         (2**10, 1), (2**16, 1), (2**20, 1), (2**16, 2), (2**20, 4),
     ]:
-        run = accumulate(
+        run = list(accumulate(
             10**7, decades, segment_size=segment_size, workers=workers
-        )
+        ))
         assert run == ref, (segment_size, workers)
 
 
@@ -87,37 +85,37 @@ def test_determinism_across_worker_and_segment_schedules():
 def test_extend_from_any_resume_point_equals_single_run(resume_at, size):
     n_max = 2 * 10**5
     schedule = sorted({resume_at, 10**3, 10**4, 10**5, n_max})
-    first = accumulate(
+    first = list(accumulate(
         resume_at, [t for t in schedule if t <= resume_at], segment_size=size
-    )
-    extended = accumulators.extend(first, n_max, schedule, segment_size=size)
-    assert extended.checkpoints == accumulate(n_max, schedule).checkpoints
+    ))
+    extended = list(accumulators.extend(first, n_max, schedule, segment_size=size))
+    assert extended == list(accumulate(n_max, schedule))
 
 
 def test_budget_guard():
     with pytest.raises(BudgetError):
-        accumulate(2**34 + 1, [2**20])
+        list(accumulate(2**34 + 1, [2**20]))
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        accumulate(100, [50, 50])
+        list(accumulate(100, [50, 50]))
     with pytest.raises(ValueError):
-        accumulate(100, [50, 200])
+        list(accumulate(100, [50, 200]))
 
 
 def test_resume_matches_single_run():
-    first = accumulate(10**4, [10**3, 10**4])
-    extended = accumulators.extend(first, 10**5, [10**5])
-    full = accumulate(10**5, [10**3, 10**4, 10**5])
-    assert extended.checkpoints == full.checkpoints
+    first = list(accumulate(10**4, [10**3, 10**4]))
+    extended = list(accumulators.extend(first, 10**5, [10**5]))
+    full = list(accumulate(10**5, [10**3, 10**4, 10**5]))
+    assert extended == full
 
 
 def test_resume_sieves_only_from_the_resume_segment(monkeypatch):
     n_max, size = 10**5, 2**10
     schedule = list(range(1000, n_max + 1, 1000))
-    first = accumulate(60_000, schedule[:60], segment_size=size)
-    full = accumulate(n_max, schedule, segment_size=size)
+    first = list(accumulate(60_000, schedule[:60], segment_size=size))
+    full = list(accumulate(n_max, schedule, segment_size=size))
     sieved = []
     real = primes.iter_segments
 
@@ -128,26 +126,26 @@ def test_resume_sieves_only_from_the_resume_segment(monkeypatch):
             yield seg
 
     monkeypatch.setattr(primes, "iter_segments", spy)
-    extended = accumulators.extend(first, n_max, schedule, segment_size=size)
+    extended = list(accumulators.extend(first, n_max, schedule, segment_size=size))
     # the resumed stream spans about 20 segments of 2048 integers
     assert len(sieved) > 10
     assert all(hi > 60_001 for _, hi in sieved)
     assert sieved[0][0] <= 60_001
-    assert extended.checkpoints == full.checkpoints
+    assert extended == full
 
 
 class TestCheckpointFile:
     def test_round_trip(self, tmp_path):
-        series = accumulate(10**4, [100, 10**3, 10**4])
+        series = list(accumulate(10**4, [100, 10**3, 10**4]))
         path = tmp_path / "cp.csv"
-        save_checkpoints(series, path)
+        write_checkpoints(series, path)
         again = load_checkpoints(path)
-        assert again.checkpoints == series.checkpoints
+        assert again == series
 
     def test_truncated_file_reports_line(self, tmp_path):
         path = tmp_path / "cp.csv"
-        series = accumulate(10**3, [10**3])
-        save_checkpoints(series, path)
+        series = list(accumulate(10**3, [10**3]))
+        write_checkpoints(series, path)
         text = path.read_text()
         path.write_text(text[: text.rindex(",") ])
         with pytest.raises(CheckpointFormatError) as exc:
@@ -187,7 +185,7 @@ class TestCheckpointFile:
     ])
     def test_impossible_row_names_line_and_field(self, field, raw, tmp_path):
         path = tmp_path / "cp.csv"
-        save_checkpoints(accumulate(100, [10, 100]), path)
+        write_checkpoints(accumulate(100, [10, 100]), path)
         lines = path.read_text().splitlines()
         row = dict(zip(accumulators._FIELDS, lines[2].split(",")))
         row[field] = raw
@@ -218,9 +216,9 @@ class TestCheckpointFile:
             assert float(f"{v:.16E}") == v
 
     def test_file_round_trip_bit_exact(self, tmp_path):
-        series = accumulate(2**16, [2**10, 2**16])
+        series = list(accumulate(2**16, [2**10, 2**16]))
         path = tmp_path / "cp.csv"
-        save_checkpoints(series, path)
+        write_checkpoints(series, path)
         again = load_checkpoints(path)
         for a, b in zip(series, again):
             assert a.recip_sum == b.recip_sum
@@ -264,9 +262,9 @@ CARRY_FILE = (
 def test_resume_from_a_file_with_a_rounding_carry(tmp_path):
     path = tmp_path / "cp.csv"
     path.write_text(CARRY_FILE)
-    extended = accumulators.extend(load_checkpoints(path), 2**17, [2**17])
-    got = extended.checkpoints[-1]
-    want = accumulate(2**17, [2**17]).checkpoints[0]
+    extended = list(accumulators.extend(load_checkpoints(path), 2**17, [2**17]))
+    got = extended[-1]
+    want = list(accumulate(2**17, [2**17]))[0]
     assert got.pi == want.pi
     for a, b in [(got.recip, want.recip), (got.logp, want.logp),
                  (got.theta_value, want.theta_value)]:
@@ -455,15 +453,34 @@ def test_checkpoints_next_to_a_block_boundary(segment):
 STREAM_PEAK_BOUND = 8 << 20
 
 
+def test_writing_a_dense_schedule_holds_no_rows(tmp_path):
+    # 4,096 and then 16,384 rows, every 1024: a pass that kept its rows
+    # until the write would grow by some 300 bytes a row; streamed, only
+    # the copy of the schedule grows, by 8 bytes a threshold
+    path = tmp_path / "cp.csv"
+    peaks = []
+    for k in (22, 24):
+        schedule = list(range(1024, 2**k + 1, 1024))
+        tracemalloc.start()
+        try:
+            assert write_checkpoints(accumulate(2**k, schedule), path) == len(schedule)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(path.read_text().splitlines()) == 1 + len(schedule)
+    assert peaks[1] < STREAM_PEAK_BOUND
+    assert peaks[1] - peaks[0] < 1 << 20
+
+
 def _remainder_checks():
     """The suite's 12 remainder checks, with no tail total remembered."""
     special._tail_prefix.cache_clear()
-    verifier.run_suite(CheckpointSeries(""), None, only=["remainder"])
+    verifier.run_suite([], None, only=["remainder"])
 
 
 @pytest.mark.parametrize("run", [
     lambda: constants.H_direct(2**23),
-    lambda: accumulate(2**24, [2**20, 2**24]),
+    lambda: list(accumulate(2**24, [2**20, 2**24])),
     lambda: special.euler_gamma.__wrapped__(10**6),
     _remainder_checks,
 ], ids=["H_direct(2^23)", "accumulate(2^24)", "euler_gamma(10^6)", "remainder"])
@@ -511,7 +528,7 @@ def _fail_after(calls, real):
 def test_a_failed_save_keeps_the_old_file(where, tmp_path, monkeypatch):
     path = tmp_path / "cp.csv"
     schedule = list(range(2**10, 2**20 + 1, 2**10))
-    save_checkpoints(accumulate(2**19, schedule[:512]), path)
+    write_checkpoints(accumulate(2**19, schedule[:512]), path)
     old = path.read_bytes()
     if where == "fsync":
         monkeypatch.setattr(os, "fsync", _fail_after(1, os.fsync))
@@ -520,12 +537,12 @@ def test_a_failed_save_keeps_the_old_file(where, tmp_path, monkeypatch):
         # rows before it are already in the temporary file
         monkeypatch.setattr(accumulators, "_fmt", _fail_after(6 * 500, accumulators._fmt))
     with pytest.raises(OSError):
-        save_checkpoints(accumulate(2**20, schedule), path)
+        write_checkpoints(accumulate(2**20, schedule), path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["cp.csv"]
     monkeypatch.undo()
-    extended = accumulators.extend(load_checkpoints(path), 2**20, schedule)
-    assert extended.checkpoints == accumulate(2**20, schedule).checkpoints
+    extended = list(accumulators.extend(load_checkpoints(path), 2**20, schedule))
+    assert extended == list(accumulate(2**20, schedule))
 
 
 @pytest.mark.parametrize("size", [2**10, primes.DEFAULT_SEGMENT_SIZE])
@@ -539,7 +556,7 @@ def test_a_threshold_at_every_integer(size):
     logs = np.log(f)
     counts = range(len(p) + 1)
     exact = [_exact_prefix_sums(t, counts) for t in (1.0 / f, logs / f, logs)]
-    series = accumulate(n, schedule, segment_size=size)
+    series = list(accumulate(n, schedule, segment_size=size))
     assert [cp.x for cp in series] == list(schedule)
     pis = np.searchsorted(p, np.arange(1, n + 1), side="right").tolist()
     rows = {}
@@ -553,9 +570,9 @@ def test_a_threshold_at_every_integer(size):
                 assert s == float(sums[pi])
             rows[pi] = vals
         assert vals == rows[pi]
-    half = CheckpointSeries("", series.checkpoints[: n // 2])
-    extended = accumulators.extend(half, n, schedule, segment_size=size)
-    assert extended.checkpoints == series.checkpoints
+    half = series[: n // 2]
+    extended = list(accumulators.extend(half, n, schedule, segment_size=size))
+    assert extended == series
 
 
 def test_kernel_calls_do_not_grow_with_the_schedule(monkeypatch):
@@ -572,7 +589,7 @@ def test_kernel_calls_do_not_grow_with_the_schedule(monkeypatch):
     counts = []
     for schedule in (range(2**10, n + 1, 2**10), [n]):
         calls.clear()
-        accumulate(n, schedule)
+        list(accumulate(n, schedule))
         counts.append(len(calls))
     # one call per sum and block, for 4,096 thresholds as for one
     assert counts == [3 * blocks] * 2

@@ -144,6 +144,30 @@ class TestConstants:
         assert "exceeds the desk-scale budget" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--prime-limit", "abc"],
+        ["--oracle", "--prime-limit", "abc"],
+    ])
+    def test_bad_prime_limit_exits_2_at_parse_time(self, argv, monkeypatch, capsys):
+        def fail(*args):
+            raise AssertionError("compute_B ran before --prime-limit was checked")
+
+        monkeypatch.setattr(cli.constants, "compute_B", fail)
+        assert main(["constants", *argv]) == EXIT_USAGE
+        assert "cannot parse integer scale 'abc'" in capsys.readouterr().err
+
+    def test_oracle_prime_limit_below_1000_exits_2_before_compute_b(
+        self, monkeypatch, capsys
+    ):
+        def fail(*args):
+            raise AssertionError("compute_B ran before --prime-limit was checked")
+
+        monkeypatch.setattr(cli.constants, "compute_B", fail)
+        rc = main(["constants", "--oracle", "--prime-limit", "500"])
+        assert rc == EXIT_USAGE
+        assert "prime_limit must be >= 1000" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_small_full_run(self, tmp_path, capsys):
         rc = main(["verify", "--max", "2^17", "--wolf-table",
@@ -266,6 +290,19 @@ def test_a_failed_write_keeps_the_file_that_resume_needs(tmp_path, monkeypatch, 
     argv[-1] = str(fresh)
     assert main(argv + ["--max", "2^20"]) == EXIT_OK
     assert path.read_bytes() == fresh.read_bytes()
+
+
+def test_a_descending_resume_schedule_keeps_the_old_file(tmp_path, capsys):
+    path = tmp_path / "cp.csv"
+    assert main(["sums", "--max", "2^16", "--checkpoints", str(path)]) == EXIT_OK
+    old = path.read_bytes()
+    # the old row reaches the temporary file before the schedule is refused
+    rc = main(["sums", "--max", "2^16", "--schedule", "5,3", "--resume",
+               "--checkpoints", str(path)])
+    assert rc == EXIT_USAGE
+    assert "strictly ascending" in capsys.readouterr().err
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cp.csv"]
 
 
 def test_a_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch, capsys):
