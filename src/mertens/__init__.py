@@ -12,7 +12,6 @@ from .special import (
     EvaluatedReal,
     euler_gamma,
     exp_integral_e1,
-    log_weighted_tail,
     prime_zeta,
     zeta,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "exp_integral_e1",
     "legendre_valuation",
     "load_checkpoints",
-    "log_weighted_tail",
     "mertens_error_table",
     "moebius_up_to",
     "prime_zeta",

@@ -9,7 +9,6 @@ point or blocking.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 import os
@@ -45,7 +44,7 @@ class CheckpointFormatError(ValueError):
         super().__init__(f"line {line}, field {field_name!r}: {message}")
 
 
-# Primes per block of a stream: a scratch holds one block and one row of
+# Primes per block of a stream: a stream holds one block and one row of
 # terms, about 2 MB at any segment size.  2^15 peaks about 1 MB lower, but
 # has twice the blocks, and a block has a fixed cost of about 180 us (three
 # kernel calls), which made a stream to 2^30 about 4 % slower.
@@ -53,16 +52,15 @@ BLOCK = 1 << 16
 
 
 class SumScratch:
-    """Work arrays for ``exact_sum``, and ``rows`` of terms for a stream.
+    """Work arrays for ``exact_sum``.
 
     A stream makes one scratch and passes it to every call, so the arrays
     are allocated, and their pages touched, once and not per chunk.  They
     grow to the largest input seen.
     """
 
-    def __init__(self, size: int = 0, rows: int = 0):
+    def __init__(self, size: int = 0):
         self.size = -1
-        self._rows = rows
         self.fit(size)
 
     def fit(self, n: int) -> None:
@@ -72,7 +70,6 @@ class SumScratch:
             self.exp = np.empty(n, dtype=np.int32)
             self.mant = np.empty(n, dtype=np.int64)
             self.run = np.empty(n, dtype=bool)
-            self.rows = np.empty((self._rows, n), dtype=np.float64)
             self.size = n
 
 
@@ -213,6 +210,17 @@ def check_budget(n_max: int, force: bool = False) -> None:
         )
 
 
+def _prime_blocks(n, start=2, **kwargs) -> Iterator[np.ndarray]:
+    """The primes in [start, n], ascending, in int64 arrays of at most
+    BLOCK; ``kwargs`` go to ``primes.iter_segments``."""
+    for seg in primes.iter_segments(n, start=start, **kwargs):
+        p = seg.primes()
+        if start > seg.lo:
+            p = p[p >= start]
+        for b in range(0, len(p), BLOCK):
+            yield p[b : b + BLOCK]
+
+
 def accumulate(
     n_max,
     schedule,
@@ -223,20 +231,20 @@ def accumulate(
 ) -> Iterator[SumCheckpoint]:
     """Stream primes once and yield all four sums at each threshold.
 
-    ``schedule`` is an ascending list of integer thresholds <= n_max; it
-    is checked when the first row is asked for.  Each row is yielded as
-    soon as the primes up to its threshold are summed, and none is kept,
-    so the rows take no memory that grows with the schedule.  Each block
-    of at most BLOCK primes costs one ``exact_sum`` call per sum, cut at
-    every threshold inside the block, so the cost of the stream does not
-    grow with the number of thresholds.
+    ``schedule`` is an ascending sequence of integer thresholds <= n_max,
+    taken as one int64 array; it is checked when the first row is asked
+    for.  Each row is yielded as soon as the primes up to its threshold
+    are summed, and none is kept, so the rows take no memory that grows
+    with the schedule.  Each block of at most BLOCK primes costs one
+    ``exact_sum`` call per sum, cut at every threshold inside the block,
+    so the cost of the stream does not grow with the number of thresholds.
     """
     n_max = int(n_max)
     check_budget(n_max, force)
-    schedule = [int(t) for t in schedule]
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+    schedule = np.asarray(schedule, dtype=np.int64)
+    if (schedule[1:] <= schedule[:-1]).any():
         raise ValueError("schedule must be strictly ascending")
-    if schedule and schedule[-1] > n_max:
+    if schedule.size and schedule[-1] > n_max:
         raise ValueError(f"schedule exceeds n_max={n_max}")
 
     pi = 0
@@ -253,73 +261,54 @@ def accumulate(
             _units(cp.theta) + _units(cp.theta_comp),
         ]
         start = cp.x + 1
-        i = bisect.bisect_right(schedule, cp.x)
+        i = int(schedule.searchsorted(cp.x, side="right"))
 
-    scratch = SumScratch(BLOCK, rows=1)
+    scratch = SumScratch(BLOCK)
+    terms = np.empty(BLOCK, dtype=np.float64)
 
     def record(xs):
         """The rows at thresholds ``xs``, which all see the same primes."""
-        if not xs:
-            return []
-        vals = [v for s in sums for v in _split(s)]
-        return [SumCheckpoint(x, pi, *vals) for x in xs]
+        vals = [v for s in sums for v in _split(s)] if len(xs) else []
+        return [SumCheckpoint(x, pi, *vals) for x in xs.tolist()]
 
-    for seg in primes.iter_segments(
-        n_max, segment_size=segment_size, workers=workers, start=start
-    ):
-        p_all = seg.primes()
-        if start > seg.lo:
-            p_all = p_all[p_all >= start]
-        for b in range(0, len(p_all), BLOCK):
-            block = p_all[b : b + BLOCK]
-            # thresholds below the block's first prime see none of it
-            j = bisect.bisect_left(schedule, int(block[0]), i)
-            yield from record(schedule[i:j])
-            # those below its last prime cut it, with one cut for all that
-            # see the same primes; the others wait for the next block
-            i, j = j, bisect.bisect_left(schedule, int(block[-1]), j)
-            cuts = block.searchsorted(schedule[i:j], side="right").tolist()
-            ends = sorted(set(cuts)) + [len(block)]
-            # schedule[bounds[k] : bounds[k + 1]] see the primes up to ends[k]
-            bounds = [i + bisect.bisect_left(cuts, e) for e in ends] + [j]
-            # one row of scratch takes each row of terms in turn
-            terms = scratch.rows[0, : len(block)]
-            np.divide(1.0, block, out=terms)
-            recip = exact_sum(terms, scratch, ends)
-            np.log(block, out=terms)
-            logp = exact_sum(terms, scratch, ends)
-            np.divide(terms, block, out=terms)
-            pieces = [recip, exact_sum(terms, scratch, ends), logp]
-            pi0 = pi
-            for k, (e, *piece) in enumerate(zip(ends, *pieces)):
-                sums = [s + d for s, d in zip(sums, piece)]
-                pi = pi0 + e
-                yield from record(schedule[bounds[k] : bounds[k + 1]])
-            i = j
+    for block in _prime_blocks(n_max, start, segment_size=segment_size,
+                               workers=workers):
+        # the thresholds below the block's last prime cut it; the others
+        # wait for the next block
+        j = i + int(schedule[i:].searchsorted(block[-1]))
+        seen = block.searchsorted(schedule[i:j], side="right")
+        # one cut for all the thresholds that see the same primes, the
+        # last of them at i + last[k]; a cut at 0 sees none of the block
+        last = np.flatnonzero(np.diff(seen, append=len(block)))
+        ends = seen[last].tolist() + [len(block)]
+        bounds = (last + (i + 1)).tolist() + [j]
+        # one row of terms takes each sum's terms in turn
+        t = terms[: len(block)]
+        np.divide(1.0, block, out=t)
+        recip = exact_sum(t, scratch, ends)
+        np.log(block, out=t)
+        logp = exact_sum(t, scratch, ends)
+        np.divide(t, block, out=t)
+        pieces = zip(ends, bounds, recip, exact_sum(t, scratch, ends), logp)
+        pi0 = pi
+        for e, b, *piece in pieces:
+            sums = [s + d for s, d in zip(sums, piece)]
+            pi = pi0 + e
+            yield from record(schedule[i:b])
+            i = b
     yield from record(schedule[i:])
 
 
-def inverse_power_sums(n, powers) -> list[Fraction]:
-    """The exact sum of p^-k over the primes p <= min(n, limit), for each
-    (k, limit) in ``powers``, in one stream of the primes <= n.
-
-    Like ``accumulate``, it holds one segment and one scratch at a time,
-    so its memory does not grow with n.
-    """
-    sums = [Fraction(0)] * len(powers)
-    scratch = SumScratch(BLOCK, rows=2)
-    for seg in primes.iter_segments(n):
-        chunk = seg.primes()
-        for i in range(0, len(chunk), BLOCK):
-            block = chunk[i : i + BLOCK]
-            p, terms = scratch.rows[:, : len(block)]
-            p[...] = block
-            for j, (k, limit) in enumerate(powers):
-                c = int(np.searchsorted(p, limit, side="right"))
-                if c:
-                    np.power(p[:c], -float(k), out=terms[:c])
-                    sums[j] += exact_sum(terms[:c], scratch)
-    return sums
+def prime_sum(f, n: int) -> int:
+    """The exact sum of f(p) over the primes p <= n, in 2^-UNIT_BITS.
+    ``f`` maps int64 arrays of at most BLOCK ascending primes to their
+    float64 terms, summed through one scratch, so memory does not grow
+    with n."""
+    total = 0
+    scratch = SumScratch(BLOCK)
+    for block in _prime_blocks(n):
+        total += exact_sum(f(block), scratch, [len(block)])[0]
+    return total
 
 
 def range_sum(f, a: int, b: int) -> int:

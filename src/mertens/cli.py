@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
+import numpy as np
+
 from . import accumulators, constants, primes, verifier
-from .accumulators import BudgetError, CheckpointFormatError
+from .accumulators import BudgetError, CheckpointFormatError, _fmt
 
 EXIT_OK = 0
 EXIT_BOUND_FAILED = 1
@@ -23,8 +24,8 @@ OUTPUT_DIR_ENV = "MERTENS_OUT_DIR"
 
 POW2_FIRST = 16
 # The most thresholds a schedule may have.  sums streams its rows to the
-# file, but the schedule is a list in memory, and verify holds a row for
-# each threshold.
+# file and holds 8 bytes a threshold, but verify holds a row and some six
+# report lines for each threshold.
 MAX_CHECKPOINTS = 1 << 20
 
 
@@ -71,13 +72,14 @@ def parse_prime_limit(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def parse_schedule(spec: str, n_max: int) -> list[int]:
-    """Schedule mini-language: 'pow2', comma list, or 'a..b:step'."""
+def parse_schedule(spec: str, n_max: int) -> np.ndarray:
+    """Schedule mini-language: 'pow2', comma list, or 'a..b:step'.
+    Returns the thresholds as one int64 array."""
     spec = spec.strip()
     if spec == "pow2":
         # 2^16 .. 2^floor(log2 n_max)
         ts = [1 << k for k in range(POW2_FIRST, n_max.bit_length())]
-        return ts or [n_max]
+        return np.array(ts or [n_max], dtype=np.int64)
     if ".." in spec:
         head, _, step_s = spec.partition(":")
         a_s, _, b_s = head.partition("..")
@@ -86,7 +88,7 @@ def parse_schedule(spec: str, n_max: int) -> list[int]:
         a, b, step = parse_scale(a_s), parse_scale(b_s), parse_scale(step_s)
         if b < a:
             raise UsageError(f"bad range schedule {spec!r}")
-        # refused before the list is built, which could be any length
+        # refused before the array is built, which could be any length
         if b - (b - a) % step > n_max:
             raise UsageError(f"schedule {spec!r} exceeds --max {n_max}")
         ts = range(a, b + 1, step)  # its len is (b - a) // step + 1
@@ -96,7 +98,10 @@ def parse_schedule(spec: str, n_max: int) -> list[int]:
             raise UsageError(f"schedule {spec!r} has no thresholds")
     if len(ts) > MAX_CHECKPOINTS:
         raise UsageError(f"schedule has {len(ts)} thresholds, over {MAX_CHECKPOINTS}")
-    return list(ts)
+    if isinstance(ts, range):
+        # not through a list, whose 2^20 ints would take some 40 MB
+        return np.arange(ts.start, ts.stop, ts.step, dtype=np.int64)
+    return np.array(ts, dtype=np.int64)
 
 
 def _out_path(path: str) -> str:
@@ -106,16 +111,12 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _fmt_real(v: float) -> str:
-    return f"{v:.16E}"
-
-
 def _printed(rows):
     """Yield ``rows``, printing each one as it passes."""
     for cp in rows:
         print(
-            f"x={cp.x} pi={cp.pi} recip={_fmt_real(cp.recip)} "
-            f"logp_over_p={_fmt_real(cp.logp)} theta={_fmt_real(cp.theta_value)}"
+            f"x={cp.x} pi={cp.pi} recip={_fmt(cp.recip)} "
+            f"logp_over_p={_fmt(cp.logp)} theta={_fmt(cp.theta_value)}"
         )
         yield cp
 
@@ -182,16 +183,16 @@ def cmd_verify(args) -> int:
         lines.append("x,true_error,schoenfeld_bound,ratio,signed_error")
         for r in rows:
             lines.append(
-                f"{r.x},{_fmt_real(r.true_error)},"
-                f"{_fmt_real(r.schoenfeld_bound)},{_fmt_real(r.ratio)},"
-                f"{_fmt_real(r.signed_error)}"
+                f"{r.x},{_fmt(r.true_error)},"
+                f"{_fmt(r.schoenfeld_bound)},{_fmt(r.ratio)},"
+                f"{_fmt(r.signed_error)}"
             )
     for rep in reports:
         params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
         lines.append(
             f"{'PASS' if rep.passed else 'FAIL'} {rep.name} {params} "
-            f"observed={_fmt_real(rep.observed)} bound={_fmt_real(rep.bound)} "
-            f"margin={_fmt_real(rep.margin)}"
+            f"observed={_fmt(rep.observed)} bound={_fmt(rep.bound)} "
+            f"margin={_fmt(rep.margin)}"
         )
     n_fail = sum(not r.passed for r in reports)
     lines.append(f"checks: {len(reports)} run, {n_fail} failed")

@@ -94,16 +94,16 @@ def H_direct(prime_limit: int) -> EvaluatedReal:
     """Oracle for H: (1/k) sum over primes p <= prime_limit of p^-k, k >= 2.
 
     Powers stop once p^-k < 10^-18; the omitted-prime tail is bounded by
-    sum_{n>prime_limit} 1/n^2 <= 1/prime_limit.  The primes are streamed,
-    so memory does not grow with prime_limit.
+    sum_{n>prime_limit} 1/n^2 <= 1/prime_limit.  Each k streams the primes
+    up to its cutoff, so memory does not grow with prime_limit.
     """
     check_prime_limit(prime_limit)
     # the cutoff 10^(18/k) falls below the first prime at k = 60
-    powers = []
+    parts = []
     k = 2
     while (cutoff := 10.0 ** (18.0 / k)) >= 2.0:
-        powers.append((k, cutoff))
+        total = accumulators.prime_sum(lambda p: p ** -float(k),
+                                       min(prime_limit, int(cutoff)))
+        parts.append(total / (1 << accumulators.UNIT_BITS) / k)
         k += 1
-    sums = accumulators.inverse_power_sums(prime_limit, powers)
-    parts = [float(s) / k for (k, _), s in zip(powers, sums)]
     return EvaluatedReal(math.fsum(parts), 1.0 / prime_limit)

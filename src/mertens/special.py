@@ -230,11 +230,6 @@ def log_weighted_tail_boas(G: int, rho: float) -> EvaluatedReal:
     )
 
 
-def log_weighted_tail(G: int, rho: float):
-    """Both routes for the tail sum; they must agree within combined bounds."""
-    return log_weighted_tail_direct(G, rho), log_weighted_tail_boas(G, rho)
-
-
 def _check_tail_domain(G, rho):
     if G < 3:
         raise DomainError(f"tail requires G >= 3, got {G}")

@@ -266,14 +266,9 @@ def check_remainder_identity(G: int, rho: float) -> BoundReport:
 
 # --- Grossehilfsatz 2 ----------------------------------------------------
 
-def grossehilfsatz2_residual(G: int, rho: float, route: str = "boas") -> float:
+def grossehilfsatz2_residual(G: int, rho: float) -> float:
     """tail(G, rho) - [ln(1/rho) - ln ln G - gamma]."""
-    if route == "boas":
-        tail = special.log_weighted_tail_boas(G, rho)
-    elif route == "direct":
-        tail = special.log_weighted_tail_direct(G, rho)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    tail = special.log_weighted_tail_boas(G, rho)
     gamma = special.euler_gamma()
     return tail.value - (math.log(1.0 / rho) - math.log(math.log(G)) - gamma.value)
 

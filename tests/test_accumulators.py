@@ -512,6 +512,31 @@ def test_range_sum_is_the_exact_sum_over_the_range(a, b):
     assert total == exact_sum(f(n)) * 2**UNIT_BITS
 
 
+# The BLOCK-th prime, the last of the first block of a stream.
+BLOCK_PRIME = int(primes.primes_up_to(10**6)[BLOCK - 1])
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 3, BLOCK_PRIME - 1, BLOCK_PRIME, BLOCK_PRIME + 1,
+    # the last integer of the first segment, and the first of the second
+    2 * primes.DEFAULT_SEGMENT_SIZE + 1, 2 * primes.DEFAULT_SEGMENT_SIZE + 2,
+])
+def test_prime_sum_is_the_exact_sum_over_the_primes(n):
+    seen = []
+
+    def f(p):
+        seen.append(p.copy())
+        return p ** -1.5 / np.log(p)
+
+    total = accumulators.prime_sum(f, n)
+    p = primes.primes_up_to(n)
+    # f saw every prime up to n once, in order, in blocks
+    assert all(0 < len(k) <= BLOCK for k in seen)
+    assert np.array_equal(np.concatenate([p[:0], *seen]), p)
+    oracle = sum(map(Fraction, f(p).tolist()), Fraction(0))
+    assert Fraction(total, 1 << UNIT_BITS) == oracle
+
+
 def _fail_after(calls, real):
     """``real``, which raises OSError from its ``calls``-th call on."""
     count = itertools.count(1)
@@ -545,12 +570,23 @@ def test_a_failed_save_keeps_the_old_file(where, tmp_path, monkeypatch):
     assert extended == list(accumulate(2**20, schedule))
 
 
-@pytest.mark.parametrize("size", [2**10, primes.DEFAULT_SEGMENT_SIZE])
-def test_a_threshold_at_every_integer(size):
+# A schedule as a range, a list, and an int64 array.
+_SCHEDULE_KINDS = (
+    (lambda r: r, ""), (list, "-list"),
+    (lambda r: np.array(r, dtype=np.int64), "-int64"),
+)
+
+
+@pytest.mark.parametrize("size, kind", [
+    pytest.param(size, kind, id=f"{size}{suffix}")
+    for size in (2**10, primes.DEFAULT_SEGMENT_SIZE)
+    for kind, suffix in _SCHEDULE_KINDS
+])
+def test_a_threshold_at_every_integer(size, kind):
     # x < 2, runs of thresholds with no prime between them, and, at 2^10,
-    # thresholds on every segment edge
+    # thresholds on every segment edge; any ascending sequence will do
     n = 2 * 10**5
-    schedule = range(1, n + 1)
+    schedule = kind(range(1, n + 1))
     p = primes.primes_up_to(n)
     f = p.astype(np.float64)
     logs = np.log(f)

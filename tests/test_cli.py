@@ -4,8 +4,10 @@ import itertools
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,13 +42,13 @@ class TestParsing:
             parse_scale(text)
 
     def test_parse_schedule_pow2(self):
-        assert parse_schedule("pow2", 2**20) == [2**k for k in range(16, 21)]
-        assert parse_schedule("pow2", 2**30) == [2**k for k in range(16, 31)]
-        assert parse_schedule("pow2", 1000) == [1000]
+        assert parse_schedule("pow2", 2**20).tolist() == [2**k for k in range(16, 21)]
+        assert parse_schedule("pow2", 2**30).tolist() == [2**k for k in range(16, 31)]
+        assert parse_schedule("pow2", 1000).tolist() == [1000]
 
     def test_parse_schedule_list_and_range(self):
-        assert parse_schedule("10,100,1e3", 10**4) == [10, 100, 1000]
-        assert parse_schedule("100..300:100", 10**4) == [100, 200, 300]
+        assert parse_schedule("10,100,1e3", 10**4).tolist() == [10, 100, 1000]
+        assert parse_schedule("100..300:100", 10**4).tolist() == [100, 200, 300]
 
 
 class TestSums:
@@ -344,7 +346,7 @@ def test_parse_scale_round_trips_exponent_notation(m, k):
 
 @given(st.integers(1, 2**63 - 1))
 def test_pow2_schedule_is_every_power_of_two_from_2_16(n):
-    ts = parse_schedule("pow2", n)
+    ts = parse_schedule("pow2", n).tolist()
     if n < 2**16:
         assert ts == [n]
     else:
@@ -355,8 +357,8 @@ def test_pow2_schedule_is_every_power_of_two_from_2_16(n):
 @given(st.lists(scales, min_size=1, max_size=20, unique=True), scales)
 def test_parse_schedule_round_trips_lists(ts, n):
     ts.sort()
-    assert parse_schedule(",".join(map(str, ts)), n) == ts
-    assert parse_schedule(" , ".join(map(str, ts)) + ",", n) == ts
+    assert parse_schedule(",".join(map(str, ts)), n).tolist() == ts
+    assert parse_schedule(" , ".join(map(str, ts)) + ",", n).tolist() == ts
 
 
 @given(st.integers(1, 2**40), st.integers(1, 2**40), st.integers(1, 1000), st.data())
@@ -364,7 +366,7 @@ def test_parse_schedule_round_trips_ranges(a, step, count, data):
     last = a + (count - 1) * step
     b = data.draw(st.integers(last, last + step - 1))
     n = data.draw(st.integers(last, 2**63 - 1))
-    assert parse_schedule(f"{a}..{b}:{step}", n) == list(range(a, last + 1, step))
+    assert parse_schedule(f"{a}..{b}:{step}", n).tolist() == list(range(a, last + 1, step))
 
 
 bad_scales = st.one_of(
@@ -428,12 +430,26 @@ def test_a_schedule_past_the_checkpoint_cap_exits_2(command):
 def test_the_checkpoint_cap_counts_thresholds(monkeypatch):
     assert cli.MAX_CHECKPOINTS == 1 << 20
     monkeypatch.setattr(cli, "MAX_CHECKPOINTS", 10)
-    assert parse_schedule("1..10:1", 100) == list(range(1, 11))
-    assert parse_schedule("1..30:3", 100) == list(range(1, 31, 3))
-    assert parse_schedule(",".join(map(str, range(1, 11))), 100) == list(range(1, 11))
+    assert parse_schedule("1..10:1", 100).tolist() == list(range(1, 11))
+    assert parse_schedule("1..30:3", 100).tolist() == list(range(1, 31, 3))
+    assert parse_schedule(",".join(map(str, range(1, 11))), 100).tolist() == list(range(1, 11))
     for spec in ("1..11:1", "1..31:3", ",".join(map(str, range(1, 12)))):
         with pytest.raises(UsageError, match="has 11 thresholds"):
             parse_schedule(spec, 100)
+
+
+def test_a_schedule_at_the_cap_is_one_int64_array():
+    # 2^20 thresholds take 8 MiB as int64; as a list of ints they took
+    # about 40 MiB, and np.asarray(range(2^20)) alone 48 MiB
+    tracemalloc.start()
+    try:
+        ts = parse_schedule("1..2^20:1", 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ts, np.ndarray) and ts.dtype == np.int64
+    assert len(ts) == 2**20 and ts[0] == 1 and ts[-1] == 2**20
+    assert peak < 10 << 20
 
 
 @given(bad_scales)

@@ -12,7 +12,6 @@ from mertens.special import (
     EvaluatedReal,
     euler_gamma,
     exp_integral_e1,
-    log_weighted_tail,
     log_weighted_tail_boas,
     log_weighted_tail_direct,
     prime_zeta,
@@ -185,12 +184,13 @@ class TestLogWeightedTail:
         assert lo < true_tail < hi
 
     def test_routes_agree(self):
-        a, b = log_weighted_tail(100, 0.5)
+        a, b = log_weighted_tail_direct(100, 0.5), log_weighted_tail_boas(100, 0.5)
         assert abs(a.value - b.value) <= a.err_bound + b.err_bound
 
     def test_routes_agree_various(self):
         for G, rho in [(10, 0.3), (1000, 0.05), (10**4, 0.01), (50, 0.9)]:
-            a, b = log_weighted_tail(G, rho)
+            a = log_weighted_tail_direct(G, rho)
+            b = log_weighted_tail_boas(G, rho)
             assert abs(a.value - b.value) <= a.err_bound + b.err_bound
 
     def test_integral_comparison_bound(self):
