@@ -46,13 +46,14 @@ class CheckpointFormatError(ValueError):
 
 # Primes per block of a stream: a stream holds one block and one row of
 # terms, about 2 MB at any segment size.  2^15 peaks about 1 MB lower, but
-# has twice the blocks, and a block has a fixed cost of about 180 us (three
+# has twice the blocks, and a block has a fixed cost of about 120 us (three
 # kernel calls), which made a stream to 2^30 about 4 % slower.
 BLOCK = 1 << 16
 
 
 class SumScratch:
-    """Work arrays for ``exact_sum``.
+    """Work arrays for ``exact_sum``, 17 bytes a value: the sign and
+    exponent bits (``key``), the mantissa bits (``mant``) and run bounds.
 
     A stream makes one scratch and passes it to every call, so the arrays
     are allocated, and their pages touched, once and not per chunk.  They
@@ -66,10 +67,9 @@ class SumScratch:
     def fit(self, n: int) -> None:
         """Make room for ``n`` values."""
         if n > self.size:
-            self.frac = np.empty(n, dtype=np.float64)
-            self.exp = np.empty(n, dtype=np.int32)
+            self.key = np.empty(n, dtype=np.int64)
             self.mant = np.empty(n, dtype=np.int64)
-            self.run = np.empty(n, dtype=bool)
+            self.run = np.empty(n + 1, dtype=bool)
             self.size = n
 
 
@@ -88,20 +88,22 @@ def exact_sum(x: np.ndarray, scratch: SumScratch | None = None, ends=None):
     sums to 0, and values past the last end are not summed.  Without it,
     x is one piece, and its sum is returned as a Fraction.
 
-    Each value is split as x = m * 2^e with an integer |m| < 2^53.  The
-    mantissas are summed in two int64 limbs, m = hi * 2^26 + lo, first over
-    each run of equal exponents within a piece and then, run totals only,
-    per (piece, exponent); neither step can overflow below 2^36 values.
-    The run totals are grouped by one sort, so the Python combine visits
-    only the (piece, exponent) pairs present, and no array is as long as
-    pieces times exponents.
-    Monotone input, such as the terms of a prime sum, has a few runs a
-    piece; any other order has up to one run per value and is as exact.
-    Every array as long as ``x`` comes from ``scratch``, a fresh one when
-    it is None.  Raises ValueError on NaN, infinity, 2^36 values or more,
-    or ends out of order or out of range.
+    Each value is read from its IEEE-754 bits: a sign, a biased exponent E
+    and 52 mantissa bits m, worth ([E > 0] * 2^52 + m) * 2^(max(E, 1) - 1075).
+    The m are summed in int64 over runs of at most 2^9 values with one sign
+    and one E in one piece, so a signed run total T, implicit bits included,
+    has |T| < 2^9 * 2^53 = 2^62.  One sort groups the run totals by (piece,
+    max(E, 1)), and they are summed in two limbs, T = hi * 2^27 + lo: below
+    2^36 values, sum lo < 2^36 * 2^27 = 2^63 and sum |hi| <= n * 2^26 + runs
+    < 2^62 + 2^36.  The Python combine visits only the groups present, and
+    no array is as long as pieces times exponents.  Monotone input, such as
+    the terms of a prime sum, has a few runs a piece besides one per 2^9
+    values; any other order has up to one run per value and is as exact.
+    Every array as long as ``x`` comes from ``scratch`` (a fresh one if
+    None), and ``x`` is copied only if not a contiguous float64 array.
+    Raises ValueError on NaN, infinity, 2^36 values or more, or bad ends.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.size >= 1 << 36:
         raise ValueError("exact_sum needs fewer than 2^36 values")
     cuts = np.asarray([x.size] if ends is None else ends, dtype=np.int64)
@@ -114,40 +116,36 @@ def exact_sum(x: np.ndarray, scratch: SumScratch | None = None, ends=None):
         if scratch is None:
             scratch = SumScratch()
         scratch.fit(n)
-        frac, exp = scratch.frac[:n], scratch.exp[:n]
-        mant, run = scratch.mant[:n], scratch.run[:n]
-        if not np.isfinite(x[:n], out=run).all():
+        key, mant, run = scratch.key[:n], scratch.mant[:n], scratch.run[: n + 1]
+        bits = x[:n].view(np.int64)
+        # the sign and E: negative exactly when the sign bit is set
+        np.right_shift(bits, 52, out=key)
+        # a run starts where the key changes, at each cut and at every
+        # 2^9-th value, so no run spans two pieces; the last ends at n
+        np.not_equal(key[1:], key[:-1], out=run[1:n])
+        run[cuts] = True
+        run[:: 1 << 9] = True
+        bounds = np.flatnonzero(run)
+        starts = bounds[:-1]
+        np.bitwise_and(bits, (1 << 52) - 1, out=mant)
+        total = np.add.reduceat(mant, starts)
+        # every value shares its run's key, so the run keys cover them all
+        e = key[starts] & 0x7FF
+        if (e == 0x7FF).any():
             raise ValueError("exact_sum needs finite values")
-        np.frexp(x[:n], out=(frac, exp))
-        np.multiply(frac, 2.0**53, out=mant, casting="unsafe")
-        # a run starts at the first value, at each exponent change and at
-        # each cut, so no run spans two pieces
-        run[0] = True
-        np.not_equal(exp[1:], exp[:-1], out=run[1:])
-        run[cuts[cuts < n]] = True
-        starts = np.flatnonzero(run)
-        e = exp[starts]
-        base = int(e.min())
-        width = int(e.max()) - base + 1
-        key = cuts.searchsorted(starts, side="right") * width + (e - base)
-        # sort the runs by (piece, exponent), so that the groups, and the
-        # work and memory they take, follow the runs present
+        total += ((bounds[1:] - starts) << 52) * (e > 0)
+        np.negative(total, out=total, where=key[starts] < 0)
+        # sort the runs by (piece, exponent) into the spent scratch, so that
+        # the groups, and the work and memory they take, follow the runs
+        key = cuts.searchsorted(starts, side="right") << 11 | np.maximum(e, 1)
         order = key.argsort()
-        key = key[order]
+        key = np.take(key, order, out=scratch.key[: len(order)])
+        total = np.take(total, order, out=mant[: len(order)])
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        # the low limbs take the memory of frac, which mant has replaced
-        low = frac.view(np.int64)
-        np.bitwise_and(mant, (1 << 26) - 1, out=low)
-        lo = np.add.reduceat(np.add.reduceat(low, starts)[order], first)
-        mant >>= 26
-        hi = np.add.reduceat(np.add.reduceat(mant, starts)[order], first)
-        for b, h, l in zip(key[first].tolist(), hi.tolist(), lo.tolist()):
-            piece, k = divmod(b, width)
-            sums[piece] += ((h << 26) + l) << k
-        # a bin total counts 2^(base - 53); every piece sum is a whole
-        # number of units, so the right shift, when there is one, is exact
-        shift = base - 53 + UNIT_BITS
-        sums = [s << shift if shift >= 0 else s >> -shift for s in sums]
+        lo = np.add.reduceat(total & ((1 << 27) - 1), first)
+        hi = np.add.reduceat(total >> 27, first)
+        for k, h, l in zip(key[first].tolist(), hi.tolist(), lo.tolist()):
+            sums[k >> 11] += ((h << 27) + l) << ((k & 0x7FF) - 1)
     if ends is None:
         return Fraction(sums[0], 1 << UNIT_BITS)
     return sums
@@ -264,7 +262,7 @@ def accumulate(
         i = int(schedule.searchsorted(cp.x, side="right"))
 
     scratch = SumScratch(BLOCK)
-    terms = np.empty(BLOCK, dtype=np.float64)
+    floats, terms = np.empty((2, BLOCK), dtype=np.float64)
 
     def record(xs):
         """The rows at thresholds ``xs``, which all see the same primes."""
@@ -282,13 +280,14 @@ def accumulate(
         last = np.flatnonzero(np.diff(seen, append=len(block)))
         ends = seen[last].tolist() + [len(block)]
         bounds = (last + (i + 1)).tolist() + [j]
-        # one row of terms takes each sum's terms in turn
-        t = terms[: len(block)]
-        np.divide(1.0, block, out=t)
+        # one float64 copy of the block for the three ufuncs, one row of terms
+        p, t = floats[: len(block)], terms[: len(block)]
+        p[:] = block
+        np.divide(1.0, p, out=t)
         recip = exact_sum(t, scratch, ends)
-        np.log(block, out=t)
+        np.log(p, out=t)
         logp = exact_sum(t, scratch, ends)
-        np.divide(t, block, out=t)
+        np.divide(t, p, out=t)
         pieces = zip(ends, bounds, recip, exact_sum(t, scratch, ends), logp)
         pi0 = pi
         for e, b, *piece in pieces:

@@ -54,22 +54,23 @@ def parse_scale(text: str) -> int:
     return value
 
 
-def parse_workers(text: str) -> int:
-    """--workers: an integer in [1, primes.MAX_WORKERS], checked at parse
-    time, so a bad value starts no pool and sieves nothing."""
-    try:
-        return primes.check_workers(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked_at_parse_time(check):
+    """An argparse type that calls ``check`` on the text and reports its
+    UsageError or ValueError as argparse's own error, which exits 2."""
+    def parse(text: str):
+        try:
+            return check(text)
+        except (UsageError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
-def parse_prime_limit(text: str) -> int:
-    """--prime-limit: checked at parse time, with or without --oracle, so
-    a bad value fails before compute_B runs."""
-    try:
-        return constants.check_prime_limit(parse_scale(text))
-    except (UsageError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+# --workers: an integer in [1, primes.MAX_WORKERS], checked at parse time, so
+# a bad value starts no pool and sieves nothing.  --prime-limit: checked at
+# parse time, with or without --oracle, so a bad value fails before compute_B.
+parse_workers = _checked_at_parse_time(lambda t: primes.check_workers(int(t)))
+parse_prime_limit = _checked_at_parse_time(
+    lambda t: constants.check_prime_limit(parse_scale(t)))
 
 
 def parse_schedule(spec: str, n_max: int) -> np.ndarray:

@@ -300,7 +300,8 @@ class TestExactSum:
 
     def test_one_long_run_and_a_run_per_value(self):
         v = np.nextafter(1.0, 2.0)
-        # a run of 2^20 equal exponents, whose hi-limb total is 2^46, then 3
+        # 2^20 values of one exponent, which the kernel cuts into 2^11 runs,
+        # then 3
         x = np.concatenate([np.full(2**20, v), np.full(3, -v / 3 * 2)])
         assert exact_sum(x) == 2**20 * Fraction(v) + 3 * Fraction(-v / 3 * 2)
         # the exponent changes at every value, and each exponent recurs
@@ -389,6 +390,72 @@ class TestExactSum:
         with pytest.raises(ValueError):
             exact_sum(np.ones(3), None, ends)
 
+    @pytest.mark.parametrize("count", [2**9 - 1, 2**9, 2**9 + 1, 3 * 2**9 + 5])
+    @pytest.mark.parametrize("v", [2 - 2**-52, -(2 - 2**-52)])
+    def test_runs_of_the_largest_mantissa_across_2_9_edges(self, count, v):
+        # every mantissa bit set, so each run of at most 2^9 values sums to
+        # its largest total; cuts fall next to the first 2^9 edge
+        x = np.full(count, v)
+        assert exact_sum(x) == count * Fraction(v)
+        ends = sorted(min(c, count) for c in (2**9 - 1, 2**9, 2**9 + 1, count))
+        want = [(b - a) * Fraction(v) for a, b in zip([0] + ends, ends)]
+        got = exact_sum(x, SumScratch(), ends)
+        assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
+
+    def test_long_runs_of_zeros_and_subnormals_next_to_normals(self):
+        tiny = 2.0**-1074
+        # the largest subnormal has every mantissa bit set and no implicit bit
+        big_sub = 2.0**-1022 - tiny
+        x = np.concatenate([
+            np.full(600, 0.0), np.full(700, -0.0), [1.5, -(2 - 2**-52), 3.0],
+            np.full(1100, big_sub), np.full(530, -tiny * 3), [-1.5],
+            np.full(515, 2.0**-1022), np.full(520, -0.0), [-big_sub, 2.0**-1022],
+        ])
+        vals = x.tolist()
+        exact = sum(map(Fraction, vals), Fraction(0))
+        assert exact_sum(x) == exact
+        ends = [512, 600, 1300, 1302, 2403, 2933, 3449, len(x)]
+        want = [sum(map(Fraction, vals[a:b]), Fraction(0))
+                for a, b in zip([0] + ends, ends)]
+        got = exact_sum(x, SumScratch(), ends)
+        assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
+
+    def test_strided_reversed_int64_and_float32_input(self):
+        rnd = np.random.default_rng(3)
+        x = np.ldexp(rnd.uniform(-1, 1, 3000), rnd.integers(-60, 60, 3000))
+        before = x.copy()
+        scratch = SumScratch()
+        for view in (x[::3], x[::-1]):
+            vals = view.tolist()
+            assert exact_sum(view, scratch) == sum(map(Fraction, vals), Fraction(0))
+            ends = [5, 700, len(vals)]
+            want = [sum(map(Fraction, vals[a:b]), Fraction(0))
+                    for a, b in zip([0] + ends, ends)]
+            got = exact_sum(view, scratch, ends)
+            assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
+        assert np.array_equal(x, before)
+        # integers below 2^53 and float32 values are float64 values too
+        ints = rnd.integers(-2**52, 2**52, 2000)
+        assert exact_sum(ints, scratch) == sum(ints.tolist())
+        f32 = x.astype(np.float32)
+        assert exact_sum(f32, scratch) == sum(map(Fraction, f32.tolist()), Fraction(0))
+
+    def test_a_block_of_prime_terms_is_summed_in_place(self):
+        # with a fitted scratch, one call on a contiguous float64 block
+        # copies nothing as long as the block: a copy would take 512 KiB
+        p = primes.primes_up_to(2**22)[-BLOCK:].astype(np.float64)
+        terms = 1.0 / p
+        scratch = SumScratch(BLOCK)
+        exact_sum(terms, scratch, [BLOCK])
+        tracemalloc.start()
+        try:
+            got = exact_sum(terms, scratch, [BLOCK])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 10
+        assert Fraction(got[0], 1 << UNIT_BITS) == _exact_prefix_sums(terms, [BLOCK])[0]
+
 
 def _fsum_arguments(text):
     """The argument text of every math.fsum( call, parentheses balanced."""
@@ -446,6 +513,37 @@ def test_checkpoints_next_to_a_block_boundary(segment):
                      (cp.logp_over_p, cp.logp_comp), (cp.theta, cp.theta_comp)]
             for (s, c), sums in zip(pairs, exact):
                 assert Fraction(s) + Fraction(c) == sums[k]
+
+
+def test_thresholds_on_the_kernel_run_edges_of_a_full_block():
+    # The second block of the first segment is full.  The kernel starts a
+    # run at every 2^9-th value of it, so thresholds cut the block just
+    # before, on and after such edges, after its first and its last prime,
+    # and at the edge between the two segments of the stream.
+    n = 2**22
+    p = primes.primes_up_to(n)
+    edge = 1 + 2 * primes.DEFAULT_SEGMENT_SIZE  # the first segment's last integer
+    in_first = int(np.searchsorted(p, edge, side="right"))
+    assert in_first >= 2 * BLOCK
+    cuts = [0, 1, 2**9 - 1, 2**9, 2**9 + 1, 2**10, 2**15 - 1, 2**15,
+            BLOCK - 2**9, BLOCK - 1, BLOCK]
+    # the prime that ends a cut after c primes of the block
+    schedule = {int(p[BLOCK + c - 1]) for c in cuts}
+    schedule |= {edge, edge + 1, int(p[in_first]), n}
+    schedule = sorted(schedule)
+    pis = np.searchsorted(p, schedule, side="right").tolist()
+    f = p.astype(np.float64)
+    logs = np.log(f)
+    exact = [_exact_prefix_sums(t, pis) for t in (1.0 / f, logs / f, logs)]
+    rows = list(accumulate(n, schedule))
+    assert [cp.x for cp in rows] == schedule
+    for k, cp in enumerate(rows):
+        assert cp.pi == pis[k]
+        pairs = [(cp.recip_sum, cp.recip_comp),
+                 (cp.logp_over_p, cp.logp_comp), (cp.theta, cp.theta_comp)]
+        for (s, c), sums in zip(pairs, exact):
+            assert Fraction(s) + Fraction(c) == sums[k]
+            assert s == float(sums[k])
 
 
 # Fixed whatever the limit: one segment bitmap and its primes, about
