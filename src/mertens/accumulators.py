@@ -3,8 +3,8 @@
 One sieve pass records pi(x), sum 1/p, sum ln(p)/p, and theta(x) at a
 schedule of thresholds.  Each block of terms is summed by ``exact_sum``,
 cut at the thresholds inside it, into exact integer running sums, so a
-checkpoint depends only on x: not on segment size, worker count, resume
-point or blocking.
+checkpoint depends only on x: not on segment size, resume point or
+blocking.
 """
 
 from __future__ import annotations
@@ -208,10 +208,12 @@ def check_budget(n_max: int, force: bool = False) -> None:
         )
 
 
-def _prime_blocks(n, start=2, **kwargs) -> Iterator[np.ndarray]:
+def _prime_blocks(
+    n, start=2, segment_size=primes.DEFAULT_SEGMENT_SIZE
+) -> Iterator[np.ndarray]:
     """The primes in [start, n], ascending, in int64 arrays of at most
-    BLOCK; ``kwargs`` go to ``primes.iter_segments``."""
-    for seg in primes.iter_segments(n, start=start, **kwargs):
+    BLOCK, from segments of ``segment_size`` odd entries."""
+    for seg in primes.iter_segments(n, segment_size, start):
         p = seg.primes()
         if start > seg.lo:
             p = p[p >= start]
@@ -223,7 +225,6 @@ def accumulate(
     n_max,
     schedule,
     segment_size=primes.DEFAULT_SEGMENT_SIZE,
-    workers=1,
     force=False,
     _resume_from: SumCheckpoint | None = None,
 ) -> Iterator[SumCheckpoint]:
@@ -269,8 +270,7 @@ def accumulate(
         vals = [v for s in sums for v in _split(s)] if len(xs) else []
         return [SumCheckpoint(x, pi, *vals) for x in xs.tolist()]
 
-    for block in _prime_blocks(n_max, start, segment_size=segment_size,
-                               workers=workers):
+    for block in _prime_blocks(n_max, start, segment_size):
         # the thresholds below the block's last prime cut it; the others
         # wait for the next block
         j = i + int(schedule[i:].searchsorted(block[-1]))

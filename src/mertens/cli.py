@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import accumulators, constants, primes, verifier
+from . import accumulators, constants, verifier
 from .accumulators import BudgetError, CheckpointFormatError, _fmt
 
 EXIT_OK = 0
@@ -27,6 +27,11 @@ POW2_FIRST = 16
 # file and holds 8 bytes a threshold, but verify holds a row and some six
 # report lines for each threshold.
 MAX_CHECKPOINTS = 1 << 20
+# --workers is accepted so that existing command lines keep working.  It has
+# no effect until the process pool of ROADMAP item 1 lands.
+MAX_WORKERS = 64
+WORKERS_HELP = (f"an integer in [1, {MAX_WORKERS}], accepted for existing "
+                "command lines; no effect until ROADMAP item 1 lands")
 
 
 class UsageError(Exception):
@@ -65,10 +70,16 @@ def _checked_at_parse_time(check):
     return parse
 
 
-# --workers: an integer in [1, primes.MAX_WORKERS], checked at parse time, so
-# a bad value starts no pool and sieves nothing.  --prime-limit: checked at
-# parse time, with or without --oracle, so a bad value fails before compute_B.
-parse_workers = _checked_at_parse_time(lambda t: primes.check_workers(int(t)))
+def _check_workers(workers: int) -> int:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(
+            f"workers must be an integer in [1, {MAX_WORKERS}], got {workers}")
+    return workers
+
+
+# Both are checked at parse time: a bad --workers exits 2 before any sieve,
+# and a bad --prime-limit, with or without --oracle, before compute_B.
+parse_workers = _checked_at_parse_time(lambda t: _check_workers(int(t)))
 parse_prime_limit = _checked_at_parse_time(
     lambda t: constants.check_prime_limit(parse_scale(t)))
 
@@ -131,9 +142,7 @@ def cmd_sums(args) -> int:
     old = accumulators.load_checkpoints(path) \
         if args.resume and os.path.exists(path) else []
     # each row goes to stdout and to the file as the sieve reaches it
-    rows = accumulators.extend(
-        old, n_max, schedule, workers=args.workers, force=args.force,
-    )
+    rows = accumulators.extend(old, n_max, schedule, force=args.force)
     n = accumulators.write_checkpoints(_printed(rows), path)
     print(f"wrote {n} checkpoints to {path}")
     return EXIT_OK
@@ -162,9 +171,7 @@ def _series_for_verify(args):
     accumulators.check_budget(n_max, args.force)
     schedule = parse_schedule(args.schedule, n_max)
     # the checks read the rows more than once
-    rows = list(accumulators.accumulate(
-        n_max, schedule, workers=args.workers, force=args.force,
-    ))
+    rows = list(accumulators.accumulate(n_max, schedule, force=args.force))
     if args.checkpoints:
         accumulators.write_checkpoints(rows, _out_path(args.checkpoints))
     return rows
@@ -218,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", required=True, help="upper limit (e.g. 2^20, 1e6)")
     p.add_argument("--schedule", default="pow2")
     p.add_argument("--checkpoints", default="checkpoints.csv")
-    p.add_argument("--workers", type=parse_workers, default=1)
+    p.add_argument("--workers", type=parse_workers, default=1,
+                   help=WORKERS_HELP)
     p.add_argument("--force", action="store_true",
                    help="allow limits beyond the desk-scale budget")
     p.add_argument("--resume", action="store_true",
@@ -241,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma list of checks "
                    f"({','.join(verifier.CHECK_NAMES)})")
     p.add_argument("--wolf-table", action="store_true")
-    p.add_argument("--workers", type=parse_workers, default=1)
+    p.add_argument("--workers", type=parse_workers, default=1,
+                   help=WORKERS_HELP)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -12,8 +12,6 @@ run sieves nothing below its resume point.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +19,8 @@ import numpy as np
 # Odd entries per segment; one segment spans twice this many integers.
 DEFAULT_SEGMENT_SIZE = 1 << 20
 
-# Largest accepted worker count: a pool beyond the cores of any desk machine
-# buys nothing, and each worker may hold one segment bitmap.
-MAX_WORKERS = 64
-
-# Moebius tables beyond this are never needed: every series over n that
-# uses mu truncates far earlier, and the linear-memory table stays small.
+# Moebius lists beyond this are never needed: every series over n that
+# uses mu truncates far earlier, and a list of 10^7 ints takes 80 MB.
 MOEBIUS_MAX = 10**7
 
 
@@ -109,46 +103,22 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> PrimeSegment:
     return PrimeSegment(lo, hi, bits, scan)
 
 
-def check_workers(workers) -> int:
-    """``workers`` if it is an integer in [1, MAX_WORKERS]; else ValueError."""
-    if not (isinstance(workers, int) and 1 <= workers <= MAX_WORKERS):
-        raise ValueError(
-            f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}"
-        )
-    return workers
-
-
-def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, workers=1, start=2):
-    """Yield PrimeSegments tiling [2, n] in ascending order.
+def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, start=2):
+    """Yield PrimeSegments tiling [2, n] in ascending order, each sieved
+    when the caller asks for it.
 
     Segments lie on the fixed grid lo = 2 + k * 2 * segment_size; the
     first one yielded is the segment that contains ``start``, so
-    segments wholly below ``start`` are never sieved.  Segments are
-    independent units of work: with ``workers > 1`` they are sieved
-    concurrently but always yielded in ascending order, so results are
-    identical for any worker count.  At most ``workers`` segments are
-    sieved ahead of the one the caller holds.
+    segments wholly below ``start`` are never sieved.
     """
-    check_workers(workers)
     n = int(n)
     if n < 2:
         return
     base = primes_up_to(math.isqrt(n))
     span = 2 * segment_size
     first = 2 + max(0, start - 2) // span * span
-    bounds = [(lo, min(lo + span, n + 1)) for lo in range(first, n + 1, span)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ahead = deque()
-            for lo, hi in bounds:
-                ahead.append(pool.submit(_sieve_segment, lo, hi, base))
-                if len(ahead) > workers:
-                    yield ahead.popleft().result()
-            while ahead:
-                yield ahead.popleft().result()
-    else:
-        for lo, hi in bounds:
-            yield _sieve_segment(lo, hi, base)
+    for lo in range(first, n + 1, span):
+        yield _sieve_segment(lo, min(lo + span, n + 1), base)
 
 
 def primes_up_to(n) -> np.ndarray:
@@ -157,21 +127,9 @@ def primes_up_to(n) -> np.ndarray:
     return np.concatenate(segs) if segs else np.empty(0, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class MoebiusTable:
-    """mu(n) for 1 <= n <= n_max, values in {-1, 0, +1}."""
-
-    n_max: int
-    values: np.ndarray
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside table range [1, {self.n_max}]")
-        return int(self.values[n])
-
-
-def moebius_up_to(n: int) -> MoebiusTable:
-    """Moebius function table via a sieve over the primes <= n.
+def moebius_up_to(n: int) -> list[int]:
+    """mu(0), ..., mu(n) as a list of ints in {-1, 0, +1}, mu(0) = 0, by a
+    sieve over the primes <= n.
 
     mu flips sign once per distinct prime factor and vanishes on any
     multiple of a prime square.
@@ -186,7 +144,7 @@ def moebius_up_to(n: int) -> MoebiusTable:
         values[p::p] *= -1
         if p * p <= n:
             values[p * p :: p * p] = 0
-    return MoebiusTable(n, values)
+    return values.tolist()
 
 
 def legendre_valuation(n: int, p: int) -> int:

@@ -19,6 +19,8 @@ from .constants import ConstantsBundle
 from .special import ROUNDING_ALLOWANCE
 
 TWO_PI_LOG_ROOT = math.log(math.sqrt(2 * math.pi))
+# a prime_sum or a range_sum divided by _UNIT is rounded once
+_UNIT = 1 << accumulators.UNIT_BITS
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,6 @@ def check_grossehilfsatz1(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
     reports = []
     for cp in series:
         if cp.x < 2:
-            reports.append(BoundReport(
-                "grossehilfsatz1", {"x": cp.x}, 0.0, 2.0, 2.0, True,
-                note="skipped: x < 2",
-            ))
             continue
         R = cp.logp - math.log(cp.x)
         reports.append(_report("grossehilfsatz1", {"x": cp.x}, R, 2.0))
@@ -106,19 +104,16 @@ def check_theta(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
 
 # --- chi(x) - chi(x/2) < x ----------------------------------------------
 
-def _theta_at(p, logs, y: float) -> float:
-    k = int(np.searchsorted(p, math.floor(y), side="right"))
-    return float(accumulators.exact_sum(logs[:k]))
-
-
-def _chi(p, logs, x: float) -> float:
+def _chi(x: float) -> float:
+    """The sum of theta(x^(1/k)) over k while x^(1/k) >= 2, each theta an
+    exact sum rounded once."""
     total = 0.0
     k = 1
     while True:
         root = x ** (1.0 / k)
         if root < 2.0:
             break
-        total += _theta_at(p, logs, root + 1e-12)
+        total += accumulators.prime_sum(np.log, math.floor(root + 1e-12)) / _UNIT
         k += 1
     return total
 
@@ -126,17 +121,14 @@ def _chi(p, logs, x: float) -> float:
 def check_chi_inequality(x: int) -> BoundReport:
     if x <= 1:
         raise ValueError(f"x must be > 1, got {x}")
-    p = primes.primes_up_to(x)
-    logs = np.log(p.astype(np.float64))
-    observed = _chi(p, logs, float(x)) - _chi(p, logs, x / 2.0)
+    observed = _chi(float(x)) - _chi(x / 2.0)
     return _report("chi_difference", {"x": x}, observed, float(x))
 
 
 # --- Stirling bounds -----------------------------------------------------
 
 def _log_factorial(n: int) -> float:
-    logs = np.log(np.arange(1, n + 1, dtype=np.float64))
-    return float(accumulators.exact_sum(logs))
+    return accumulators.range_sum(np.log, 1, n) / _UNIT
 
 
 def _binet_term(m: int) -> float:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import tempfile
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -252,15 +253,32 @@ def test_bad_workers_exit_2_before_any_pool_or_sieve(
     command, workers, tmp_path, monkeypatch, capsys
 ):
     def fail(*args, **kwargs):
-        raise AssertionError("a pool or a sieve started")
+        raise AssertionError("a sieve started")
 
-    monkeypatch.setattr(primes, "ThreadPoolExecutor", fail)
     monkeypatch.setattr(primes, "_sieve_segment", fail)
     rc = main([command, "--max", "2^20", "--workers", workers,
                "--checkpoints", str(tmp_path / "cp.csv")])
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"workers must be an integer in [1, 64], got {workers}" in err
+
+
+@pytest.mark.parametrize("command", ["sums", "verify"])
+def test_workers_4_starts_no_thread(command, tmp_path, monkeypatch, capsys):
+    def fail(self):
+        raise AssertionError("a thread started")
+
+    monkeypatch.setattr(threading.Thread, "start", fail)
+    rc = main([command, "--max", "2^18", "--workers", "4",
+               "--checkpoints", str(tmp_path / "cp.csv")])
+    assert rc == EXIT_OK
+
+
+def test_a_check_that_applies_to_no_threshold_exits_2(capsys):
+    # x = 1 has no primes: grossehilfsatz1 has nothing to check there
+    rc = main(["verify", "--max", "1", "--only", "grossehilfsatz1"])
+    assert rc == EXIT_USAGE
+    assert "no check applies to these thresholds" in capsys.readouterr().err
 
 
 def _fail_after(calls, real):

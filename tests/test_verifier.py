@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mertens import accumulators, special, verifier
+from mertens import accumulators, primes, special, verifier
 from mertens.verifier import (
     check_abel_pi_identity,
     check_chi_inequality,
@@ -41,9 +42,10 @@ class TestGrossehilfsatz1:
         assert all(r.passed for r in reports)
 
     def test_skips_sub_2_thresholds(self):
+        # x = 1 gets no report at all, not a PASS that checked nothing
         series = list(accumulators.accumulate(10, [1, 10]))
         reports = check_grossehilfsatz1(series)
-        assert "skipped" in reports[0].note
+        assert [r.params["x"] for r in reports] == [10]
         assert reports[0].passed
 
     def test_pass_flag_recomputable(self, small_series):
@@ -90,6 +92,33 @@ class TestChi:
     def test_rejects_one(self):
         with pytest.raises(ValueError):
             check_chi_inequality(1)
+
+
+def _rounded_once(values: np.ndarray) -> float:
+    """The exact sum of float64 ``values``, rounded once, by Fractions."""
+    return float(sum(map(Fraction, values.tolist())))
+
+
+class TestExactSums:
+    @pytest.mark.parametrize("x", [4, 100, 10**4, 10**6])
+    def test_chi_sums_theta_exactly_at_each_root(self, x):
+        p = primes.primes_up_to(x)
+        logs = np.log(p)
+
+        def chi(y):
+            total, k = 0.0, 1
+            while (root := y ** (1.0 / k)) >= 2.0:
+                n = int(p.searchsorted(math.floor(root + 1e-12), side="right"))
+                total += _rounded_once(logs[:n])
+                k += 1
+            return total
+
+        assert check_chi_inequality(x).observed == chi(float(x)) - chi(x / 2.0)
+
+    @pytest.mark.parametrize("n", [4, 100, 10**4])
+    def test_log_factorial_is_rounded_once(self, n):
+        expected = _rounded_once(np.log(np.arange(1, n + 1.0)))
+        assert verifier._log_factorial(n) == expected
 
 
 class TestStirling:
