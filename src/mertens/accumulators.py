@@ -212,13 +212,16 @@ def _prime_blocks(
     n, start=2, segment_size=primes.DEFAULT_SEGMENT_SIZE
 ) -> Iterator[np.ndarray]:
     """The primes in [start, n], ascending, in int64 arrays of at most
-    BLOCK, from segments of ``segment_size`` odd entries."""
+    BLOCK, from segments of ``segment_size`` odd entries; a caller that drops
+    each block before it asks for the next holds one segment at a time."""
     for seg in primes.iter_segments(n, segment_size, start):
         p = seg.primes()
         if start > seg.lo:
             p = p[p >= start]
+        del seg
         for b in range(0, len(p), BLOCK):
             yield p[b : b + BLOCK]
+        del p
 
 
 def accumulate(
@@ -295,6 +298,8 @@ def accumulate(
             pi = pi0 + e
             yield from record(schedule[i:b])
             i = b
+        # a view that would keep its segment's primes through the next sieve
+        del block
     yield from record(schedule[i:])
 
 
@@ -373,31 +378,32 @@ def write_checkpoints(rows: Iterable[SumCheckpoint], path) -> int:
     return n
 
 
-def load_checkpoints(path) -> list[SumCheckpoint]:
+def load_checkpoints(path) -> Iterator[SumCheckpoint]:
+    """Yield the rows of the checkpoint file at ``path`` line by line, each once
+    it is checked against the row before: a bad row raises when reached."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != FILE_HEADER:
-        raise CheckpointFormatError(1, "header", f"expected {FILE_HEADER!r}")
-    cps = []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(_FIELDS):
-            raise CheckpointFormatError(
-                ln, _FIELDS[min(len(parts), len(_FIELDS) - 1)],
-                f"expected {len(_FIELDS)} fields, got {len(parts)}",
-            )
-        vals = {}
-        for name, raw in zip(_FIELDS, parts):
-            try:
-                vals[name] = int(raw) if name in ("x", "pi") else float(raw)
-            except ValueError as exc:
-                raise CheckpointFormatError(ln, name, str(exc)) from None
-        cp = SumCheckpoint(**vals)
-        _check_row(ln, cp, cps[-1] if cps else None)
-        cps.append(cp)
-    return cps
+        if fh.readline().rstrip("\n") != FILE_HEADER:
+            raise CheckpointFormatError(1, "header", f"expected {FILE_HEADER!r}")
+        prev = None
+        for ln, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != len(_FIELDS):
+                raise CheckpointFormatError(
+                    ln, _FIELDS[min(len(parts), len(_FIELDS) - 1)],
+                    f"expected {len(_FIELDS)} fields, got {len(parts)}",
+                )
+            vals = {}
+            for name, raw in zip(_FIELDS, parts):
+                try:
+                    vals[name] = int(raw) if name in ("x", "pi") else float(raw)
+                except ValueError as exc:
+                    raise CheckpointFormatError(ln, name, str(exc)) from None
+            cp = SumCheckpoint(**vals)
+            _check_row(ln, cp, prev)
+            yield cp
+            prev = cp
 
 
 # The sums before the first prime, which every first row must reach.

@@ -141,7 +141,7 @@ def cmd_sums(args) -> int:
     path = _out_path(args.checkpoints)
     old = accumulators.load_checkpoints(path) \
         if args.resume and os.path.exists(path) else []
-    # each row goes to stdout and to the file as the sieve reaches it
+    # each row goes to stdout and to the file as it is read or sieved
     rows = accumulators.extend(old, n_max, schedule, force=args.force)
     n = accumulators.write_checkpoints(_printed(rows), path)
     print(f"wrote {n} checkpoints to {path}")
@@ -162,15 +162,15 @@ def cmd_constants(args) -> int:
 
 
 def _series_for_verify(args):
+    # the checks read the rows more than once
     if args.checkpoints and os.path.exists(_out_path(args.checkpoints)) \
             and not args.max:
-        return accumulators.load_checkpoints(_out_path(args.checkpoints))
+        return list(accumulators.load_checkpoints(_out_path(args.checkpoints)))
     if not args.max:
         raise UsageError("verify needs --max or an existing --checkpoints file")
     n_max = parse_scale(args.max)
     accumulators.check_budget(n_max, args.force)
     schedule = parse_schedule(args.schedule, n_max)
-    # the checks read the rows more than once
     rows = list(accumulators.accumulate(n_max, schedule, force=args.force))
     if args.checkpoints:
         accumulators.write_checkpoints(rows, _out_path(args.checkpoints))

@@ -7,6 +7,7 @@ bound) alone, up to the documented rounding allowance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .constants import ConstantsBundle
 from .special import ROUNDING_ALLOWANCE
 
 TWO_PI_LOG_ROOT = math.log(math.sqrt(2 * math.pi))
-# a prime_sum or a range_sum divided by _UNIT is rounded once
+# an exact sum counting 2^-UNIT_BITS, divided by _UNIT, is rounded once
 _UNIT = 1 << accumulators.UNIT_BITS
 
 
@@ -104,24 +105,21 @@ def check_theta(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
 
 # --- chi(x) - chi(x/2) < x ----------------------------------------------
 
-def _chi(x: float) -> float:
-    """The sum of theta(x^(1/k)) over k while x^(1/k) >= 2, each theta an
-    exact sum rounded once."""
-    total = 0.0
-    k = 1
-    while True:
-        root = x ** (1.0 / k)
-        if root < 2.0:
-            break
-        total += accumulators.prime_sum(np.log, math.floor(root + 1e-12)) / _UNIT
-        k += 1
-    return total
+def _chi_roots(x: float) -> list[int]:
+    """floor(x^(1/k)) for k = 1, 2, ... while x^(1/k) >= 2: chi(x) is the
+    sum of theta at these."""
+    roots = (x ** (1.0 / k) for k in itertools.count(1))
+    return [math.floor(r + 1e-12)
+            for r in itertools.takewhile(lambda r: r >= 2.0, roots)]
 
 
 def check_chi_inequality(x: int) -> BoundReport:
     if x <= 1:
         raise ValueError(f"x must be > 1, got {x}")
-    observed = _chi(float(x)) - _chi(x / 2.0)
+    up, down = _chi_roots(float(x)), _chi_roots(x / 2.0)
+    # one stream to x gives theta at every root, each an exact sum rounded once
+    theta = {cp.x: cp.theta for cp in accumulators.accumulate(x, sorted({*up, *down}))}
+    observed = sum(theta[r] for r in up) - sum(theta[r] for r in down)
     return _report("chi_difference", {"x": x}, observed, float(x))
 
 
@@ -217,20 +215,28 @@ def check_legendre_factorial(n: int) -> BoundReport:
 # --- Abel summation identity with pi(x) ---------------------------------
 
 def check_abel_pi_identity(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
-    reports = []
+    series = [cp for cp in series if cp.x >= 2]
     # One sieve to the largest threshold; each checkpoint takes a prefix.
     all_p = primes.primes_up_to(max((cp.x for cp in series), default=0))
-    for cp in series:
-        if cp.x < 2:
-            continue
-        k = int(np.searchsorted(all_p, cp.x, side="right"))
-        # pi is a step function: the integral of pi(t)/t^2 over [2, x] is
-        # an exact finite sum of pi * (1/a - 1/b) pieces, the last to b = x.
-        q = np.append(all_p[:k], cp.x).astype(np.float64)
-        pieces = np.arange(1, k + 1) * (1.0 / q[:-1] - 1.0 / q[1:])
-        rhs = k / cp.x + float(accumulators.exact_sum(pieces))
-        lhs = cp.recip
-        rel = abs(lhs - rhs) / lhs
+    ks = all_p.searchsorted([cp.x for cp in series], side="right").tolist()
+    # pi is a step function: the integral of pi(t)/t^2 over [2, x] is the
+    # exact sum of the pieces j (1/p_j - 1/p_{j+1}), j < k = pi(x), and of
+    # k (1/p_k - 1/x).  heads[k] sums the first k - 1, one exact_sum per BLOCK.
+    heads, total = {1: 0}, 0
+    scratch = accumulators.SumScratch(accumulators.BLOCK)
+    for lo in range(0, len(all_p) - 1, accumulators.BLOCK):
+        r = 1.0 / all_p[lo : lo + accumulators.BLOCK + 1]
+        pieces = np.arange(lo + 1, lo + len(r)) * (r[:-1] - r[1:])
+        inside = sorted(k for k in set(ks) if lo + 1 < k <= lo + len(r))
+        ends = [k - 1 - lo for k in inside] + [len(pieces)]
+        sums = accumulators.exact_sum(pieces, scratch, ends)
+        _, *at_cuts, total = itertools.accumulate(sums, initial=total)
+        heads.update(zip(inside, at_cuts))
+    reports = []
+    for cp, k in zip(series, ks):
+        last = k * (1.0 / float(all_p[k - 1]) - 1.0 / cp.x)
+        rhs = k / cp.x + (heads[k] + accumulators._units(last)) / _UNIT
+        rel = abs(cp.recip - rhs) / cp.recip
         reports.append(_report("abel_pi_identity", {"x": cp.x}, rel, 1e-10))
     return reports
 

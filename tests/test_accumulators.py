@@ -135,7 +135,7 @@ class TestCheckpointFile:
         series = list(accumulate(10**4, [100, 10**3, 10**4]))
         path = tmp_path / "cp.csv"
         write_checkpoints(series, path)
-        again = load_checkpoints(path)
+        again = list(load_checkpoints(path))
         assert again == series
 
     def test_truncated_file_reports_line(self, tmp_path):
@@ -145,14 +145,14 @@ class TestCheckpointFile:
         text = path.read_text()
         path.write_text(text[: text.rindex(",") ])
         with pytest.raises(CheckpointFormatError) as exc:
-            load_checkpoints(path)
+            list(load_checkpoints(path))
         assert exc.value.line == 2
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "cp.csv"
         path.write_text("something else\n")
         with pytest.raises(CheckpointFormatError) as exc:
-            load_checkpoints(path)
+            list(load_checkpoints(path))
         assert exc.value.line == 1
 
     def test_bad_field_named(self, tmp_path):
@@ -162,7 +162,7 @@ class TestCheckpointFile:
             + "\n10,4,1.0,0.0,not-a-number,0.0,5.0,0.0\n"
         )
         with pytest.raises(CheckpointFormatError) as exc:
-            load_checkpoints(path)
+            list(load_checkpoints(path))
         assert exc.value.line == 2
         assert exc.value.field == "logp_over_p"
 
@@ -188,7 +188,7 @@ class TestCheckpointFile:
         lines[2] = ",".join(row.values())
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointFormatError) as exc:
-            load_checkpoints(path)
+            list(load_checkpoints(path))
         assert (exc.value.line, exc.value.field) == (3, field)
 
     def test_first_row_is_checked_against_no_primes(self, tmp_path):
@@ -198,7 +198,7 @@ class TestCheckpointFile:
             + "\n1,0,-1.0E-300,0.0,0.0,0.0,0.0,0.0\n"
         )
         with pytest.raises(CheckpointFormatError) as exc:
-            load_checkpoints(path)
+            list(load_checkpoints(path))
         assert (exc.value.line, exc.value.field) == (2, "recip_sum")
 
     @given(st.lists(
@@ -564,6 +564,38 @@ def test_writing_a_dense_schedule_holds_no_rows(tmp_path):
         assert len(path.read_text().splitlines()) == 1 + len(schedule)
     assert peaks[1] < STREAM_PEAK_BOUND
     assert peaks[1] - peaks[0] < 1 << 20
+
+
+def test_loading_a_file_holds_one_row(tmp_path):
+    # 4,096 rows: a reader that kept them, or the text of the file, peaked
+    # at about 2.2 MiB; one that holds a row at a time peaks near 30 KiB
+    path = tmp_path / "cp.csv"
+    write_checkpoints(accumulate(2**22, range(1024, 2**22 + 1, 1024)), path)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in load_checkpoints(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 4096
+    assert peak < 1 << 19
+
+
+def test_a_stream_frees_each_segment_before_it_sieves_the_next():
+    # past the first row, a stream holds its scratch and its row of terms
+    # (about 2 MiB), and one segment at a time: the bitmap (1 MiB), then
+    # its primes.  Keeping the last segment's primes, or the last block
+    # (a view of them), while the next is sieved peaked at 5.7 MiB.
+    rows = accumulate(2**25, [2**22, 2**25])
+    tracemalloc.start()
+    try:
+        next(rows)
+        tracemalloc.reset_peak()
+        assert [cp.x for cp in rows] == [2**25]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def _remainder_checks():

@@ -325,6 +325,28 @@ def test_a_descending_resume_schedule_keeps_the_old_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["cp.csv"]
 
 
+def test_a_bad_row_in_the_middle_of_a_resumed_file_keeps_its_bytes(tmp_path, capsys):
+    path = tmp_path / "cp.csv"
+    assert main(["sums", "--max", "2^20", "--schedule", "2^10..2^20:2^10",
+                 "--checkpoints", str(path)]) == EXIT_OK
+    # row 500 of 1024 is on line 501: pi falls below the row before
+    lines = path.read_text().splitlines()
+    x, _, *reals = lines[500].split(",")
+    lines[500] = ",".join([x, "0", *reals])
+    path.write_text("\n".join(lines) + "\n")
+    old = path.read_bytes()
+    capsys.readouterr()
+    rc = main(["sums", "--max", "2^21", "--schedule", "2^10..2^21:2^10",
+               "--resume", "--checkpoints", str(path)])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert err.startswith("error: line 501, field 'pi': ")
+    # the rows before it were read one at a time, and printed as they passed
+    assert len(out.splitlines()) == 499
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cp.csv"]
+
+
 def test_a_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch, capsys):
     report = tmp_path / "r.txt"
     argv = ["verify", "--max", "2^16", "--only", "theta", "--report", str(report)]
