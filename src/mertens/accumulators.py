@@ -303,18 +303,6 @@ def accumulate(
     yield from record(schedule[i:])
 
 
-def prime_sum(f, n: int) -> int:
-    """The exact sum of f(p) over the primes p <= n, in 2^-UNIT_BITS.
-    ``f`` maps int64 arrays of at most BLOCK ascending primes to their
-    float64 terms, summed through one scratch, so memory does not grow
-    with n."""
-    total = 0
-    scratch = SumScratch(BLOCK)
-    for block in _prime_blocks(n):
-        total += exact_sum(f(block), scratch, [len(block)])[0]
-    return total
-
-
 def range_sum(f, a: int, b: int) -> int:
     """The exact sum of f(n) over the integers a <= n <= b, in 2^-UNIT_BITS.
     ``f`` maps float64 arrays of at most BLOCK consecutive integers to their

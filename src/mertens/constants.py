@@ -3,7 +3,7 @@
 H is computed by the rapidly convergent Moebius-weighted series over
 ln zeta(n)/n, with a per-term ledger and a rigorous geometric tail
 bound.  H_direct is the independent oracle: the double sum over prime
-powers, whose only error is the rigorously bounded omitted-prime tail.
+powers, sieve-free, bounded for its rounding and every omitted term.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import accumulators, primes, special
+from . import accumulators, floorsums, primes, special
 from .special import EvaluatedReal
 
 TOL_MIN = 1e-15
@@ -91,19 +91,22 @@ def check_prime_limit(prime_limit: int) -> int:
 
 
 def H_direct(prime_limit: int) -> EvaluatedReal:
-    """Oracle for H: (1/k) sum over primes p <= prime_limit of p^-k, k >= 2.
-
-    Powers stop once p^-k < 10^-18; the omitted-prime tail is bounded by
-    sum_{n>prime_limit} 1/n^2 <= 1/prime_limit.  Each k streams the primes
-    up to its cutoff, so memory does not grow with prime_limit.
-    """
+    """Oracle for H: sum_{k >= 2} (1/k) sum_{p <= c_k} p^-k, each prime sum
+    from ``floorsums.prime_power_sum``, with no sieve; c_2 = prime_limit, and
+    c_k = min(prime_limit, 10^(18/k)), where p^-k < 10^-18, until c_k < 2 at
+    k = 60.  The bound adds to the sums' own bounds every term left out: the
+    primes past each c_k, sum_{n > c} n^-k / k <= c^(1-k) / (k (k-1)); all
+    k >= 60, 2^(2-k) / k for k = 60, as sum_{n >= 2} n^-k <= 2^(1-k); and
+    u = 2^-53 of H for the divisions by k and as much for the fsum."""
     check_prime_limit(prime_limit)
-    # the cutoff 10^(18/k) falls below the first prime at k = 60
-    parts = []
+    parts, err = [], []
     k = 2
     while (cutoff := 10.0 ** (18.0 / k)) >= 2.0:
-        total = accumulators.prime_sum(lambda p: p ** -float(k),
-                                       min(prime_limit, int(cutoff)))
-        parts.append(total / (1 << accumulators.UNIT_BITS) / k)
+        c = prime_limit if k == 2 else min(prime_limit, int(cutoff))
+        total = floorsums.prime_power_sum(k, c)
+        parts.append(total.value / k)
+        err += [total.err_bound / k, 1 / (c ** (k - 1) * k * (k - 1))]
         k += 1
-    return EvaluatedReal(math.fsum(parts), 1.0 / prime_limit)
+    value = math.fsum(parts)
+    err += [2.0 ** (2 - k) / k, 2 * floorsums.U * value]
+    return EvaluatedReal(value, math.fsum(err) * floorsums.SLACK)

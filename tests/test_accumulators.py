@@ -648,17 +648,16 @@ BLOCK_PRIME = int(primes.primes_up_to(10**6)[BLOCK - 1])
     2 * primes.DEFAULT_SEGMENT_SIZE + 1, 2 * primes.DEFAULT_SEGMENT_SIZE + 2,
 ])
 def test_prime_sum_is_the_exact_sum_over_the_primes(n):
-    seen = []
-
-    def f(p):
-        seen.append(p.copy())
-        return p ** -1.5 / np.log(p)
-
-    total = accumulators.prime_sum(f, n)
+    blocks = list(accumulators._prime_blocks(n))
     p = primes.primes_up_to(n)
-    # f saw every prime up to n once, in order, in blocks
-    assert all(0 < len(k) <= BLOCK for k in seen)
-    assert np.array_equal(np.concatenate([p[:0], *seen]), p)
+    # the walk gave every prime up to n once, in order, in blocks
+    assert all(0 < len(k) <= BLOCK for k in blocks)
+    assert np.array_equal(np.concatenate([p[:0], *blocks]), p)
+    # and its blocks sum, one exact_sum each, to the sum over all the primes
+    def f(q):
+        return q ** -1.5 / np.log(q)
+
+    total = sum(exact_sum(f(k), ends=[len(k)])[0] for k in blocks)
     oracle = sum(map(Fraction, f(p).tolist()), Fraction(0))
     assert Fraction(total, 1 << UNIT_BITS) == oracle
 

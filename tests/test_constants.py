@@ -1,9 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
-from mertens import accumulators, constants, primes
+from mertens import accumulators, constants, floorsums, primes
 from mertens.constants import H_direct, compute_B, compute_H
 
 
@@ -78,16 +77,47 @@ def test_H_direct_agreement_at_1e7():
     assert abs(d.value - H.value) < 2e-7
 
 
-def test_H_direct_equals_the_sum_over_all_primes_at_once():
-    # the oracle as it was before it streamed: every prime in one array and
-    # one exact sum per k; 3e6 spans two segments and several blocks
+def test_H_direct_lies_within_its_bound_of_the_sum_over_all_primes():
+    # the oracle as it was when it sieved: every prime in one array and one
+    # exact sum of the float64 terms fl(p^-k) per k, which differs from the
+    # real sum by at most 2^-53 of it
     limit = 3 * 10**6
-    p = primes.primes_up_to(limit).astype(np.float64)
-    parts = []
+    p = primes.primes_up_to(limit).tolist()
+    parts, bound = [], 0.0
     for k in range(2, 60):
-        sub = p[p <= 10.0 ** (18.0 / k)]
-        parts.append(float(accumulators.exact_sum(sub ** -float(k))) / k)
-    assert H_direct(limit).value == math.fsum(parts)
+        c = limit if k == 2 else min(limit, int(10.0 ** (18.0 / k)))
+        sieved = float(accumulators.exact_sum([1 / q**k for q in p if q <= c]))
+        total = floorsums.prime_power_sum(k, c)
+        assert abs(total.value - sieved) <= total.err_bound + 2**-53 * sieved
+        parts.append(sieved / k)
+        bound += total.err_bound / k
+    H = math.fsum(parts)
+    # the recursion's bounds, then 2^-53 H for the terms fl(p^-k), and as
+    # much for each /k and each fsum, on either side
+    assert bound < 1e-15
+    assert abs(H_direct(limit).value - H) <= bound + 5 * 2**-53 * H
+
+
+def test_H_direct_runs_to_its_limit_for_k_2():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    H = mpmath.euler - mpmath.mertens
+    d30, d34 = H_direct(2**30), H_direct(2**34)
+    # the primes past 10^9 move H_direct by about 2e-11
+    assert d30.value != d34.value
+    assert abs(mpmath.mpf(d34.value) - H) <= d34.err_bound < 3e-11
+    assert abs(mpmath.mpf(d30.value) - H) <= d30.err_bound
+
+
+def test_H_direct_needs_no_sieve(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a segment was sieved")
+
+    # the series sieves for its Moebius values
+    H, _, _ = compute_H(1e-15)
+    monkeypatch.setattr(primes, "_sieve_segment", fail)
+    d = H_direct(10**8)
+    assert abs(d.value - H.value) <= d.err_bound + H.err_bound
 
 
 def test_H_direct_rejects_small_limit():
