@@ -77,6 +77,7 @@ def _small_moebius():
     return primes.moebius_up_to(256)
 
 
+@lru_cache(maxsize=8)
 def prime_zeta(s: float, tol: float = 1e-15) -> EvaluatedReal:
     """P(s) = sum over primes of p^-s, via Moebius inversion of ln zeta.
 
@@ -188,31 +189,38 @@ def _tail_fprime(n: float, rho: float) -> float:
     return -(n ** -(2.0 + rho)) * (1.0 + rho + 1.0 / ln) / ln
 
 
-def log_weighted_tail_direct(G: int, rho: float) -> EvaluatedReal:
-    """sum_{n>G} 1/(n^(1+rho) ln n): direct summation plus an E1 tail.
+def _tail_fthird(t: float, rho: float) -> float:
+    a, ln = 1.0 + rho, math.log(t)
+    poly = (a * (a + 1) * (a + 2) + (3 * a * a + 6 * a + 2) / ln
+            + 6 * (a + 1) / ln**2 + 6 / ln**3)
+    return -(t ** -(a + 3)) * poly / ln
 
-    Direct terms to N = max(10^6, 100 G); the rest is the exact integral
-    after substitution, E1(rho * ln N), with the sum-vs-integral bracket
-    width as the truncation bound.
+
+def log_weighted_tail_direct(G: int, rho: float) -> EvaluatedReal:
+    """sum_{n>G} 1/(n^(1+rho) ln n): direct terms to N, Euler-Maclaurin past N.
+
+    With f(t) = t^-a / ln t, a = 1 + rho and N = max(G, 2^10), the terms
+    G < n <= N are summed exactly and rounded once, and
+    sum_{n>N} f(n) = E1(rho ln N) - f(N)/2 - f'(N)/12 + R,
+    where E1(rho ln N) is the integral of f from N (substitute u = ln t).
+    For t > 1, f(t) is the integral of t^-(a+s) over s > 0, so f is
+    completely monotone, and R then lies between 0 and the B4 term
+    f'''(N)/720, with f'''(t) = -t^(-a-3) [a(a+1)(a+2)/L
+    + (3a^2+6a+2)/L^2 + 6(a+1)/L^3 + 6/L^4], L = ln t.  err_bound is
+    |f'''(N)|/720 plus E1's bound.
     """
     _check_tail_domain(G, rho)
     return _tail_direct(G, rho)
 
 
-@lru_cache(maxsize=64)
-def _tail_prefix(rho: float, m: int) -> int:
-    # the sum over 2 <= n <= m; every G with the same N shares the one to N
-    return accumulators.range_sum(lambda n: _tail_f(n, rho), 2, m)
-
-
 def _tail_direct(G: int, rho: float) -> EvaluatedReal:
     # no domain check: the remainder identity also needs rho = 1
-    N = max(10**6, 100 * G)
-    direct = (_tail_prefix(rho, N) - _tail_prefix(rho, G)) / _UNIT
+    N = max(G, 1 << 10)
+    direct = accumulators.range_sum(lambda n: _tail_f(n, rho), G + 1, N) / _UNIT
     tail = exp_integral_e1(rho * math.log(N))
-    # f decreasing: sum_{n>N} f(n) lies in [integral from N+1, integral from N]
-    bracket = float(_tail_f(np.float64(N), rho))
-    return EvaluatedReal(direct + tail.value, bracket + tail.err_bound)
+    f_N = float(_tail_f(np.float64(N), rho))
+    value = math.fsum([direct, tail.value, -f_N / 2, -_tail_fprime(N, rho) / 12])
+    return EvaluatedReal(value, abs(_tail_fthird(N, rho)) / 720 + tail.err_bound)
 
 
 def log_weighted_tail_boas(G: int, rho: float) -> EvaluatedReal:

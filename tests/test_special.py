@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -173,6 +174,25 @@ class TestExpIntegralE1:
             exp_integral_e1(-1.0)
 
 
+def _tail_oracle(G, rho, K=6, M=4000):
+    """sum_{n>G} 1/(n^(1+rho) ln n) at 40 digits: the terms to max(G, M),
+    then Euler-Maclaurin through B_2K, whose remainder at K = 6 is below
+    1e-30.  mpmath.nsum is no oracle here: it was off by 0.2 at rho = 0.1."""
+    with mpmath.workdps(40):
+        a = 1 + mpmath.mpf(rho)
+
+        def f(t):
+            return t**-a / mpmath.log(t)
+
+        M = max(G, M)
+        total = mpmath.fsum(f(mpmath.mpf(n)) for n in range(G + 1, M + 1))
+        total += mpmath.e1((a - 1) * mpmath.log(M)) - f(mpmath.mpf(M)) / 2
+        for k in range(1, K + 1):
+            c = mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+            total -= c * mpmath.diff(f, mpmath.mpf(M), 2 * k - 1)
+        return total
+
+
 class TestLogWeightedTail:
     def test_boas_bracket_on_inverse_squares(self):
         # template check with f(n) = 1/n^2 at n = 10: the half-offset
@@ -209,16 +229,32 @@ class TestLogWeightedTail:
     @pytest.mark.parametrize("rho", [1.0, 0.5, 0.1])
     @pytest.mark.parametrize("G", [3, 10, 100, 10**4, 2 * 10**4])
     def test_direct_route_is_the_one_array_formula(self, G, rho):
-        # the total for N = 10^6 is known first, so G = 2*10^4, whose N is
-        # 2*10^6, shows that the totals are kept per (rho, N)
-        special._tail_direct(10**4, rho)
-        N = max(10**6, 100 * G)
+        # one exact sum over G < n <= N, rounded once, then Euler-Maclaurin
+        # through the f' term; within err_bound + 1e-14 of the 40-digit
+        # oracle, where the direct sum to 10^6 read 9.1e-9 off at rho = 0.1
+        N = max(G, 2**10)
         n = np.arange(G + 1, N + 1, dtype=np.float64)
         direct = float(accumulators.exact_sum(special._tail_f(n, rho)))
         tail = exp_integral_e1(rho * math.log(N))
-        bracket = float(special._tail_f(np.float64(N), rho))
-        assert special._tail_direct(G, rho) == EvaluatedReal(
-            direct + tail.value, bracket + tail.err_bound)
+        f_N = float(special._tail_f(np.float64(N), rho))
+        value = math.fsum(
+            [direct, tail.value, -f_N / 2, -special._tail_fprime(N, rho) / 12])
+        got = special._tail_direct(G, rho)
+        assert got.value == value
+        assert got.err_bound < 1e-15
+        assert abs(got.value - float(_tail_oracle(G, rho))) <= got.err_bound + 1e-14
+        # f is completely monotone, so the remainder past the f' term lies
+        # between f'''(N)/720 and 0: the bound covers it, E1's alone does not
+        with mpmath.workdps(40):
+            rest = _tail_oracle(N, rho) - _tail_oracle(N, rho, K=1, M=N)
+        assert 0 <= -rest <= got.err_bound
+
+    @pytest.mark.parametrize("t, rho", [(3.0, 1.0), (50.0, 0.5), (1024.0, 0.1), (2e4, 1e-3)])
+    def test_third_derivative_is_the_closed_form(self, t, rho):
+        with mpmath.workdps(40):
+            a = 1 + mpmath.mpf(rho)
+            exact = mpmath.diff(lambda u: u**-a / mpmath.log(u), mpmath.mpf(t), 3)
+        assert special._tail_fthird(t, rho) == pytest.approx(float(exact), rel=1e-13)
 
     def test_domain(self):
         with pytest.raises(DomainError):
