@@ -2,14 +2,16 @@
 
 Every evaluation returns an EvaluatedReal: the value plus a rigorous
 absolute bound on the truncation error.  Truncation bounds deliberately
-exclude floating-point rounding; callers that need a total allowance add
-ROUNDING_ALLOWANCE (relative) on top.
+exclude floating-point rounding, except euler_gamma's, which covers it;
+callers that need a total allowance add ROUNDING_ALLOWANCE (relative) on top.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,14 +38,15 @@ class DomainError(ValueError):
     """Argument outside the function's domain."""
 
 
-# Bernoulli numbers B2..B10 for the Euler-Maclaurin corrections.
-_BERNOULLI = {2: 1 / 6, 4: -1 / 30, 6: 1 / 42, 8: -1 / 30, 10: 5 / 66}
+# Bernoulli numbers B2..B18, exact, for the Euler-Maclaurin corrections.
+_BERNOULLI = {2 * k: Fraction(b) for k, b in enumerate(
+    "1/6 -1/30 1/42 -1/30 5/66 -691/2730 7/6 -3617/510 43867/798".split(), 1)}
 
 
 def _em_correction(s: float, N: int, k: int) -> float:
     """k-th Euler-Maclaurin correction term for zeta: B_2k/(2k)! *
     s(s+1)...(s+2k-2) * N^(1-s-2k)."""
-    coeff = _BERNOULLI[2 * k] / math.factorial(2 * k)
+    coeff = float(_BERNOULLI[2 * k]) / math.factorial(2 * k)
     rising = 1.0
     for j in range(2 * k - 1):
         rising *= s + j
@@ -108,24 +111,29 @@ def prime_zeta(s: float, tol: float = 1e-15) -> EvaluatedReal:
 
 
 @lru_cache(maxsize=1)
-def euler_gamma(n: int = 10**6) -> EvaluatedReal:
-    """Euler's constant from H_n - ln n with Euler-Maclaurin corrections.
+def euler_gamma(N: int = 64) -> EvaluatedReal:
+    """Euler's constant by Euler-Maclaurin at N, in decimal, rounded once.
 
-    Truncation after the n^-6 term; for n = 10^6 the omitted term is far
-    below binary64 resolution.  H_n is summed exactly in blocks.
+    gamma = H_(N-1) + 1/(2N) - ln N + sum_{k=1..8} B_2k / (2k N^2k) + R, and
+    1/t is completely monotone, so R lies between 0 and the B18 term (9.4e-33
+    at N = 64).  The corrections are one exact Fraction.  Each of the 2N + 2
+    decimal operations errs by at most half a unit in the 40th digit of a
+    result below ln N + 3.  err_bound adds R's bound, those errors and
+    |fl(gamma) - gamma_decimal|, rounded up, so it covers the rounding.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise DomainError(f"euler_gamma requires an integer n >= 1, got {n!r}")
-    harmonic = accumulators.range_sum(lambda k: 1.0 / k, 1, n) / _UNIT
-    value = (
-        harmonic
-        - math.log(n)
-        - 1 / (2 * n)
-        + 1 / (12 * n**2)
-        - 1 / (120 * n**4)
-        + 1 / (252 * n**6)
-    )
-    return EvaluatedReal(value, 1 / (240 * n**8))
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise DomainError(f"euler_gamma requires an integer N >= 1, got {N!r}")
+    N = int(N)
+    corr = Fraction(1, 2 * N) + sum(_BERNOULLI[k] / (k * N**k) for k in range(2, 17, 2))
+    ctx = decimal.Context(prec=40, rounding=decimal.ROUND_HALF_EVEN)
+    with decimal.localcontext(ctx):
+        harmonic = sum(map(decimal.Decimal(1).__truediv__, range(1, N)))
+        gamma = (harmonic + decimal.Decimal(corr.numerator) / corr.denominator
+                 - decimal.Decimal(N).ln())
+    value = float(gamma)
+    err = (_BERNOULLI[18] / (18 * N**18) + abs(Fraction(value) - Fraction(gamma))
+           + Fraction((N + 1) * (math.log(N) + 3)) / 10**39)
+    return EvaluatedReal(value, math.nextafter(float(err), math.inf))
 
 
 def exp_integral_e1(x: float) -> EvaluatedReal:

@@ -67,6 +67,19 @@ def _report(name, params, observed, bound, note="", lo=None, hi=None) -> BoundRe
     )
 
 
+# (limit, the primes <= limit): while run_suite runs, the suite's one sieve.
+# Whatever suite set it, a prefix of it is exactly the primes <= n.
+_sieved = (0, np.empty(0, dtype=np.int64))
+
+
+def _primes_up_to(n: int) -> np.ndarray:
+    """The primes <= n: a prefix of the suite's sieve, or a sieve of their own."""
+    limit, p = _sieved
+    if n <= limit:
+        return p[: p.searchsorted(n, side="right")]
+    return primes.primes_up_to(n)
+
+
 # --- Grossehilfsatz 1: |sum ln p / p - ln x| < 2 ------------------------
 
 def check_grossehilfsatz1(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
@@ -117,8 +130,11 @@ def check_chi_inequality(x: int) -> BoundReport:
     if x <= 1:
         raise ValueError(f"x must be > 1, got {x}")
     up, down = _chi_roots(float(x)), _chi_roots(x / 2.0)
-    # one stream to x gives theta at every root, each an exact sum rounded once
-    theta = {cp.x: cp.theta for cp in accumulators.accumulate(x, sorted({*up, *down}))}
+    roots = sorted({*up, *down})
+    p = _primes_up_to(x)
+    # theta at every root, each an exact sum rounded once
+    pieces = accumulators.exact_sum(np.log(p), ends=p.searchsorted(roots, side="right"))
+    theta = {r: s / _UNIT for r, s in zip(roots, itertools.accumulate(pieces))}
     observed = sum(theta[r] for r in up) - sum(theta[r] for r in down)
     return _report("chi_difference", {"x": x}, observed, float(x))
 
@@ -200,10 +216,9 @@ def check_stirling(x: float) -> list[BoundReport]:
 def check_legendre_factorial(n: int) -> BoundReport:
     if not 2 <= n <= 10**6:
         raise ValueError(f"n must be in [2, 10^6], got {n}")
-    lhs_terms = []
-    for p in primes.primes_up_to(n).tolist():
-        lhs_terms.append(primes.legendre_valuation(n, p) * math.log(p))
-    lhs = math.fsum(lhs_terms)
+    # the primes are sieved, so they skip legendre_valuation's primality test
+    lhs = math.fsum(primes._valuation(n, p) * math.log(p)
+                    for p in _primes_up_to(n).tolist())
     rhs = _log_factorial(n)
     rel = abs(lhs - rhs) / rhs
     return _report(
@@ -217,7 +232,7 @@ def check_legendre_factorial(n: int) -> BoundReport:
 def check_abel_pi_identity(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
     series = [cp for cp in series if cp.x >= 2]
     # One sieve to the largest threshold; each checkpoint takes a prefix.
-    all_p = primes.primes_up_to(max((cp.x for cp in series), default=0))
+    all_p = _primes_up_to(max((cp.x for cp in series), default=0))
     ks = all_p.searchsorted([cp.x for cp in series], side="right").tolist()
     # pi is a step function: the integral of pi(t)/t^2 over [2, x] is the
     # exact sum of the pieces j (1/p_j - 1/p_{j+1}), j < k = pi(x), and of
@@ -250,7 +265,7 @@ def check_remainder_identity(G: int, rho: float) -> BoundReport:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     s = 1.0 + rho
     full = special.prime_zeta(s)
-    head = math.fsum(p ** -s for p in primes.primes_up_to(G).tolist())
+    head = math.fsum(p ** -s for p in _primes_up_to(G).tolist())
     prime_tail = full.value - head
     # rho = 1 sits outside the public tail helper's open interval
     n_tail = special._tail_direct(G, rho)
@@ -303,7 +318,7 @@ def check_mertens_product(G: int) -> BoundReport:
     if G < 3:
         raise ValueError(f"G must be >= 3, got {G}")
     # np.log1p rounds 28 of the primes to 2^20 otherwise than math.log1p
-    terms = (-1.0 / primes.primes_up_to(G)).tolist()
+    terms = (-1.0 / _primes_up_to(G)).tolist()
     log_product = -math.fsum(map(math.log1p, terms))
     gamma = special.euler_gamma().value
     delta = log_product - gamma - math.log(math.log(G))
@@ -388,41 +403,53 @@ def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
     """Run the full verification suite over a checkpoint series.
 
     Returns (reports, table_rows).  ``only`` restricts to a subset of
-    CHECK_NAMES.
+    CHECK_NAMES.  The checks that need primes take them from one sieve, to
+    the largest x that the selected ones reach, released on return.
     """
+    global _sieved
     want = set(only) if only else set(CHECK_NAMES)
     unknown = want - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    x_max = max((cp.x for cp in series), default=0)
+    abel_series = [cp for cp in series if cp.x <= 2**20]
+    # where each check that needs primes runs; one sieve reaches them all
+    at = {
+        "chi": (4, 100, 10**4, min(10**6, max(4, x_max))),
+        "legendre": (10, 100, 10**4),
+        "abel": [cp.x for cp in abel_series],
+        "remainder": (3, 10, 100, 10**4),
+        "product": (3, 10, min(2**20, max(3, x_max))),
+    }
+    limit = max((x for name in want & at.keys() for x in at[name]), default=0)
+    _sieved = (limit, _primes_up_to(limit))
     reports: list[BoundReport] = []
     rows: list[ErrorTableRow] = []
-    xs = [cp.x for cp in series]
-    x_max = max(xs) if xs else 0
-    if "grossehilfsatz1" in want:
-        reports += check_grossehilfsatz1(series)
-    if "theta" in want:
-        reports += check_theta(series)
-    if "chi" in want:
-        for x in (4, 100, 10**4, min(10**6, max(4, x_max))):
-            reports.append(check_chi_inequality(x))
-    if "stirling" in want:
-        for x in (4.0, 5.0, 100.0, 10**4):
-            reports += check_stirling(x)
-    if "legendre" in want:
-        for n in (10, 100, 10**4):
-            reports.append(check_legendre_factorial(n))
-    if "abel" in want:
-        reports += check_abel_pi_identity([cp for cp in series if cp.x <= 2**20])
-    if "remainder" in want:
-        for G in (3, 10, 100, 10**4):
-            for rho in (1.0, 0.5, 0.1):
-                reports.append(check_remainder_identity(G, rho))
-    if "grossehilfsatz2" in want:
-        reports += check_grossehilfsatz2(10**4, [1e-2, 1e-3, 1e-4])
-    if "product" in want:
-        for G in (3, 10, min(2**20, max(3, x_max))):
-            reports.append(check_mertens_product(G))
-    if "table" in want:
-        rows, table_reports = mertens_error_table(series, bundle)
-        reports += table_reports
+    try:
+        if "grossehilfsatz1" in want:
+            reports += check_grossehilfsatz1(series)
+        if "theta" in want:
+            reports += check_theta(series)
+        if "chi" in want:
+            reports += map(check_chi_inequality, at["chi"])
+        if "stirling" in want:
+            for x in (4.0, 5.0, 100.0, 10**4):
+                reports += check_stirling(x)
+        if "legendre" in want:
+            reports += map(check_legendre_factorial, at["legendre"])
+        if "abel" in want:
+            reports += check_abel_pi_identity(abel_series)
+        if "remainder" in want:
+            for G in at["remainder"]:
+                for rho in (1.0, 0.5, 0.1):
+                    reports.append(check_remainder_identity(G, rho))
+        if "grossehilfsatz2" in want:
+            reports += check_grossehilfsatz2(10**4, [1e-2, 1e-3, 1e-4])
+        if "product" in want:
+            reports += map(check_mertens_product, at["product"])
+        if "table" in want:
+            rows, table_reports = mertens_error_table(series, bundle)
+            reports += table_reports
+    finally:
+        _sieved = (0, np.empty(0, dtype=np.int64))
     return reports, rows

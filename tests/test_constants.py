@@ -50,6 +50,15 @@ def test_B_value_and_consistency():
     assert bundle.gamma.value - bundle.H.value - bundle.B.value == 0.0
 
 
+def test_B_within_its_own_bound_of_mpmath():
+    # no rounding allowance: gamma's bound covers its one rounding, and at
+    # the 10^6-term float formula B was 1.26e-15 off against 2.90e-16
+    mpmath = pytest.importorskip("mpmath")
+    B = compute_B(1e-15).B
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(B.value) - mpmath.mertens) <= B.err_bound
+
+
 def test_tol_validation():
     for bad in (1e-16, 1e-2, 0.5):
         with pytest.raises(ValueError):

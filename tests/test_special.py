@@ -10,7 +10,6 @@ from mertens import accumulators, primes, special
 from mertens.accumulators import BLOCK
 from mertens.special import (
     DomainError,
-    EvaluatedReal,
     euler_gamma,
     exp_integral_e1,
     log_weighted_tail_boas,
@@ -100,10 +99,11 @@ class TestPrimeZeta:
 class TestEulerGamma:
     def test_value_from_independent_em_parameters(self):
         # same identity, different truncation point: an internal consistency
-        # check that the Bernoulli corrections converged
+        # check that the Bernoulli corrections converged, within both bounds
         g_default = euler_gamma()
         g_other = euler_gamma(10**5)
-        assert abs(g_default.value - g_other.value) < 1e-13
+        assert abs(g_default.value - g_other.value) <= (
+            g_default.err_bound + g_other.err_bound)
 
     def test_quadrature_of_log_weight_integral(self):
         # integral of ln(v) e^-v over (0, inf) equals -gamma
@@ -127,11 +127,25 @@ class TestEulerGamma:
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 10**6])
     def test_is_the_one_array_formula(self, n):
-        # H_n from one array of n terms, summed exactly and rounded once
-        harmonic = float(accumulators.exact_sum(1.0 / np.arange(1, n + 1)))
-        value = (harmonic - math.log(n) - 1 / (2 * n) + 1 / (12 * n**2)
-                 - 1 / (120 * n**4) + 1 / (252 * n**6))
-        assert euler_gamma(n) == EvaluatedReal(value, 1 / (240 * n**8))
+        # H_(n-1) + 1/(2n) - ln n + sum_{k<=8} B_2k / (2k n^2k), rounded once
+        # from 50 digits; the bound covers the B18 term and the rounding
+        with mpmath.workdps(50):
+            exact = mpmath.harmonic(n - 1) + mpmath.mpf(1) / (2 * n) - mpmath.log(n)
+            exact += mpmath.fsum(mpmath.bernoulli(k) / (k * mpmath.mpf(n) ** k)
+                                 for k in range(2, 17, 2))
+            omitted = mpmath.bernoulli(18) / (18 * mpmath.mpf(n) ** 18)
+            g = special.euler_gamma.__wrapped__(n)
+            assert g.value == float(exact)
+            assert g.err_bound >= omitted + abs(g.value - exact)
+            assert abs(g.value - mpmath.euler) <= g.err_bound
+
+    def test_within_its_bound_of_mpmath(self):
+        # the one rounding of the 64-term sum: 0.5772156649015341 at the
+        # 10^6-term float formula was 1.2e-15 off, with a bound of 4e-51
+        g = euler_gamma()
+        with mpmath.workdps(50):
+            assert g.value == float(mpmath.euler) == 0.5772156649015329
+            assert abs(g.value - mpmath.euler) <= g.err_bound < 2**-56
 
     @pytest.mark.parametrize("n", [2.5, 1e6, 0, -3, "10", None])
     def test_domain(self, n):

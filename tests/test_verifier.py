@@ -1,4 +1,6 @@
 import math
+import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -267,6 +269,47 @@ class TestSuite:
     def test_unknown_check_rejected(self, small_series, bundle):
         with pytest.raises(ValueError):
             verifier.run_suite(small_series, bundle, only=["nope"])
+
+    @pytest.fixture
+    def sieves(self, monkeypatch):
+        """The limits of the primes_up_to calls that verifier makes, weak
+        references to the arrays they return, and its accumulate calls."""
+        seen = {"limits": [], "arrays": [], "streams": []}
+        real, stream = primes.primes_up_to, accumulators.accumulate
+
+        def spy(n):
+            p = real(n)
+            # the base primes of the sieve itself are not the verifier's
+            if sys._getframe(1).f_globals["__name__"] == verifier.__name__:
+                seen["limits"].append(n)
+                seen["arrays"].append(weakref.ref(p))
+            return p
+
+        def stream_spy(*args, **kwargs):
+            seen["streams"].append(args)
+            return stream(*args, **kwargs)
+
+        monkeypatch.setattr(verifier.primes, "primes_up_to", spy)
+        monkeypatch.setattr(verifier.accumulators, "accumulate", stream_spy)
+        return seen
+
+    def test_the_suite_sieves_once(self, small_series, bundle, sieves):
+        reports, _ = verifier.run_suite(small_series, bundle,
+                                        only=verifier.CHECK_NAMES)
+        assert all(r.passed for r in reports)
+        # abel and product reach 2^20; chi 10^6, legendre and remainder 10^4
+        assert sieves["limits"] == [2**20]
+        assert sieves["streams"] == []
+        # the array is released when the suite returns
+        assert [ref() for ref in sieves["arrays"]] == [None]
+        assert check_mertens_product(10).passed
+        assert sieves["limits"] == [2**20, 10]
+
+    def test_the_remainder_checks_sieve_to_10_4(self, small_series, bundle, sieves):
+        verifier.run_suite(small_series, bundle, only=["remainder"])
+        assert sieves["limits"] == [10**4]
+        verifier.run_suite(small_series, bundle, only=["theta", "table"])
+        assert sieves["limits"] == [10**4]
 
 
 def test_the_remainder_checks_sum_at_most_2_10_terms_each(monkeypatch):
