@@ -14,7 +14,6 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,18 +74,15 @@ class SumScratch:
 
 # Every float64 is an integer multiple of 2^-1074, so the package keeps an
 # exact sum of float64 values as a Python int counting that unit: adding
-# two such sums needs no gcd, unlike adding Fractions.
+# two such sums needs no gcd, unlike adding rationals.
 UNIT_BITS = 1074
 
 
-def exact_sum(x: np.ndarray, scratch: SumScratch | None = None, ends=None):
-    """The exact rational sum of a float64 array, in any order.
-
-    With ``ends``, a non-decreasing sequence of piece ends in [0, len(x)],
-    it returns instead the exact sum of each piece x[e_{i-1}:e_i] (e_0 = 0)
-    in one call, as a list of ints counting 2^-UNIT_BITS; an empty piece
-    sums to 0, and values past the last end are not summed.  Without it,
-    x is one piece, and its sum is returned as a Fraction.
+def exact_sum(x: np.ndarray, ends, scratch: SumScratch | None = None) -> list[int]:
+    """The exact sum of each piece x[e_{i-1}:e_i] (e_0 = 0) of a float64
+    array, in one call, as a list of ints counting 2^-UNIT_BITS.  ``ends``
+    is a non-decreasing sequence of piece ends in [0, len(x)]; an empty
+    piece sums to 0, and values past the last end are not summed.
 
     Each value is read from its IEEE-754 bits: a sign, a biased exponent E
     and 52 mantissa bits m, worth ([E > 0] * 2^52 + m) * 2^(max(E, 1) - 1075).
@@ -106,7 +102,7 @@ def exact_sum(x: np.ndarray, scratch: SumScratch | None = None, ends=None):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.size >= 1 << 36:
         raise ValueError("exact_sum needs fewer than 2^36 values")
-    cuts = np.asarray([x.size] if ends is None else ends, dtype=np.int64)
+    cuts = np.asarray(ends, dtype=np.int64)
     if cuts.size and (cuts[0] < 0 or cuts[-1] > x.size
                       or (cuts[1:] < cuts[:-1]).any()):
         raise ValueError("ends must be non-decreasing, within [0, len(x)]")
@@ -146,8 +142,6 @@ def exact_sum(x: np.ndarray, scratch: SumScratch | None = None, ends=None):
         hi = np.add.reduceat(total >> 27, first)
         for k, h, l in zip(key[first].tolist(), hi.tolist(), lo.tolist()):
             sums[k >> 11] += ((h << 27) + l) << ((k & 0x7FF) - 1)
-    if ends is None:
-        return Fraction(sums[0], 1 << UNIT_BITS)
     return sums
 
 
@@ -157,13 +151,16 @@ def _units(v: float) -> int:
     return num << (UNIT_BITS + 1 - den.bit_length())
 
 
-def _split(total: int) -> tuple[float, float]:
-    """The sum rounded once, and the residual: exact for every streamed sum.
+def _round_once(total: int) -> float:
+    """An exact sum ``total``, counting 2^-UNIT_BITS, rounded once: int / int
+    rounds correctly in CPython."""
+    return total / (1 << UNIT_BITS)
 
-    ``total`` counts 2^-UNIT_BITS; int / int rounds correctly in CPython.
-    """
-    head = total / (1 << UNIT_BITS)
-    return head, (total - _units(head)) / (1 << UNIT_BITS)
+
+def _split(total: int) -> tuple[float, float]:
+    """The sum rounded once, and the residual: exact for every streamed sum."""
+    head = _round_once(total)
+    return head, _round_once(total - _units(head))
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ class SumCheckpoint:
 
     Each real-valued sum is two floats: ``*_sum`` is the exact sum of the
     float64 terms rounded once and ``*_comp`` the exact residual, so e.g.
-    ``Fraction(recip_sum) + Fraction(recip_comp)`` is the exact sum of 1/p.
+    recip_sum + recip_comp, added exactly, is the exact sum of 1/p.
     """
 
     x: int
@@ -287,11 +284,11 @@ def accumulate(
         p, t = floats[: len(block)], terms[: len(block)]
         p[:] = block
         np.divide(1.0, p, out=t)
-        recip = exact_sum(t, scratch, ends)
+        recip = exact_sum(t, ends, scratch)
         np.log(p, out=t)
-        logp = exact_sum(t, scratch, ends)
+        logp = exact_sum(t, ends, scratch)
         np.divide(t, p, out=t)
-        pieces = zip(ends, bounds, recip, exact_sum(t, scratch, ends), logp)
+        pieces = zip(ends, bounds, recip, exact_sum(t, ends, scratch), logp)
         pi0 = pi
         for e, b, *piece in pieces:
             sums = [s + d for s, d in zip(sums, piece)]
@@ -303,16 +300,16 @@ def accumulate(
     yield from record(schedule[i:])
 
 
-def range_sum(f, a: int, b: int) -> int:
-    """The exact sum of f(n) over the integers a <= n <= b, in 2^-UNIT_BITS.
+def range_sum(f, a: int, b: int) -> float:
+    """The exact sum of f(n) over the integers a <= n <= b, rounded once.
     ``f`` maps float64 arrays of at most BLOCK consecutive integers to their
     terms, summed through one scratch, so memory does not grow with b - a."""
     total = 0
     scratch = SumScratch(BLOCK)
     for lo in range(a, b + 1, BLOCK):
         n = np.arange(lo, min(lo + BLOCK, b + 1), dtype=np.float64)
-        total += exact_sum(f(n), scratch, [len(n)])[0]
-    return total
+        total += exact_sum(f(n), [len(n)], scratch)[0]
+    return _round_once(total)
 
 
 def extend(

@@ -18,8 +18,6 @@ import numpy as np
 
 from . import accumulators, primes
 
-_UNIT = 1 << accumulators.UNIT_BITS  # a range_sum / _UNIT is rounded once
-
 # Documented global allowance for accumulated binary64 rounding, relative.
 ROUNDING_ALLOWANCE = 1e-13
 
@@ -54,14 +52,15 @@ def _em_correction(s: float, N: int, k: int) -> float:
     return coeff * rising * math.exp((1 - s - 2 * k) * math.log(N))
 
 
-def zeta(s: float, N: int = 64) -> EvaluatedReal:
+def zeta(s: float) -> EvaluatedReal:
     """Riemann zeta for real s > 1 by Euler-Maclaurin.
 
-    N direct terms, trapezoid tail, Bernoulli corrections through B8;
+    N = 64 direct terms, trapezoid tail, Bernoulli corrections through B8;
     err_bound is the magnitude of the first omitted correction.
     """
     if s <= 1:
         raise DomainError(f"zeta requires s > 1, got {s}")
+    N = 64
     direct = math.fsum(n ** -s for n in range(1, N))
     tail = math.exp((1 - s) * math.log(N)) / (s - 1) + 0.5 * N ** -s
     corr = math.fsum(_em_correction(s, N, k) for k in range(1, 5))
@@ -69,9 +68,9 @@ def zeta(s: float, N: int = 64) -> EvaluatedReal:
     return EvaluatedReal(direct + tail + corr, err)
 
 
-def log_zeta(s: float, N: int = 64) -> EvaluatedReal:
+def log_zeta(s: float) -> EvaluatedReal:
     """ln zeta(s) for s > 1, with the propagated truncation bound."""
-    z = zeta(s, N)
+    z = zeta(s)
     return EvaluatedReal(math.log(z.value), z.err_bound / (z.value - z.err_bound))
 
 
@@ -81,11 +80,11 @@ def _small_moebius():
 
 
 @lru_cache(maxsize=8)
-def prime_zeta(s: float, tol: float = 1e-15) -> EvaluatedReal:
+def prime_zeta(s: float) -> EvaluatedReal:
     """P(s) = sum over primes of p^-s, via Moebius inversion of ln zeta.
 
     P(s) = sum_{k>=1} mu(k)/k * ln zeta(k s); truncated once
-    ln zeta(k s) < tol/2 and the geometric tail (ratio ~ 2^-s) is folded
+    ln zeta(k s) < 5e-16 and the geometric tail (ratio ~ 2^-s) is folded
     into err_bound.
     """
     if s <= 1:
@@ -101,7 +100,7 @@ def prime_zeta(s: float, tol: float = 1e-15) -> EvaluatedReal:
         if m != 0:
             terms.append(m * lz.value / k)
             err += lz.err_bound / k
-        if lz.value < tol / 2 and k >= 2:
+        if lz.value < 5e-16 and k >= 2:
             # remaining terms: |ln zeta(js)| <= 2^(-js+1); geometric sum
             ratio = 2.0 ** -s
             tail = 2.0 * 2.0 ** (-(k + 1) * s) / (1 - ratio)
@@ -167,8 +166,9 @@ def _e1_series(x: float) -> EvaluatedReal:
     return EvaluatedReal(acc, abs(term / (k + 1)) + gamma.err_bound)
 
 
-def _e1_continued_fraction(x: float, eps: float = 1e-16) -> EvaluatedReal:
+def _e1_continued_fraction(x: float) -> EvaluatedReal:
     # Modified Lentz on E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(...)))
+    eps = 1e-16
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -218,13 +218,8 @@ def log_weighted_tail_direct(G: int, rho: float) -> EvaluatedReal:
     |f'''(N)|/720 plus E1's bound.
     """
     _check_tail_domain(G, rho)
-    return _tail_direct(G, rho)
-
-
-def _tail_direct(G: int, rho: float) -> EvaluatedReal:
-    # no domain check: the remainder identity also needs rho = 1
     N = max(G, 1 << 10)
-    direct = accumulators.range_sum(lambda n: _tail_f(n, rho), G + 1, N) / _UNIT
+    direct = accumulators.range_sum(lambda n: _tail_f(n, rho), G + 1, N)
     tail = exp_integral_e1(rho * math.log(N))
     f_N = float(_tail_f(np.float64(N), rho))
     value = math.fsum([direct, tail.value, -f_N / 2, -_tail_fprime(N, rho) / 12])
@@ -249,8 +244,8 @@ def log_weighted_tail_boas(G: int, rho: float) -> EvaluatedReal:
 def _check_tail_domain(G, rho):
     if G < 3:
         raise DomainError(f"tail requires G >= 3, got {G}")
-    if not 0 < rho < 1:
-        raise DomainError(f"tail requires 0 < rho < 1, got {rho}")
+    if not 0 < rho <= 1:
+        raise DomainError(f"tail requires 0 < rho <= 1, got {rho}")
 
 
 def sum_log_over_n_squared(N: int = 10**4) -> EvaluatedReal:
@@ -259,7 +254,7 @@ def sum_log_over_n_squared(N: int = 10**4) -> EvaluatedReal:
     This is the series whose value 0.93754825... feeds the 3/2-weighted
     prime-power bound in the first fundamental lemma.
     """
-    direct = accumulators.range_sum(lambda n: np.log(n) / n**2, 2, N - 1) / _UNIT
+    direct = accumulators.range_sum(lambda n: np.log(n) / n**2, 2, N - 1)
     lnN = math.log(N)
     integral = (lnN + 1.0) / N
     f_N = lnN / N**2

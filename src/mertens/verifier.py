@@ -14,14 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import accumulators, constants, primes, special
-from .accumulators import SumCheckpoint
+from . import accumulators, primes, special
+from .accumulators import SumCheckpoint, _round_once
 from .constants import ConstantsBundle
 from .special import ROUNDING_ALLOWANCE
 
 TWO_PI_LOG_ROOT = math.log(math.sqrt(2 * math.pi))
-# an exact sum counting 2^-UNIT_BITS, divided by _UNIT, is rounded once
-_UNIT = 1 << accumulators.UNIT_BITS
 
 
 @dataclass(frozen=True)
@@ -67,17 +65,9 @@ def _report(name, params, observed, bound, note="", lo=None, hi=None) -> BoundRe
     )
 
 
-# (limit, the primes <= limit): while run_suite runs, the suite's one sieve.
-# Whatever suite set it, a prefix of it is exactly the primes <= n.
-_sieved = (0, np.empty(0, dtype=np.int64))
-
-
-def _primes_up_to(n: int) -> np.ndarray:
-    """The primes <= n: a prefix of the suite's sieve, or a sieve of their own."""
-    limit, p = _sieved
-    if n <= limit:
-        return p[: p.searchsorted(n, side="right")]
-    return primes.primes_up_to(n)
+def _upto(p: np.ndarray, x) -> np.ndarray:
+    """The primes <= x, a prefix of ``p``: the primes up to at least x."""
+    return p[: p.searchsorted(x, side="right")]
 
 
 # --- Grossehilfsatz 1: |sum ln p / p - ln x| < 2 ------------------------
@@ -126,15 +116,15 @@ def _chi_roots(x: float) -> list[int]:
             for r in itertools.takewhile(lambda r: r >= 2.0, roots)]
 
 
-def check_chi_inequality(x: int) -> BoundReport:
+def check_chi_inequality(x: int, p: np.ndarray) -> BoundReport:
     if x <= 1:
         raise ValueError(f"x must be > 1, got {x}")
     up, down = _chi_roots(float(x)), _chi_roots(x / 2.0)
     roots = sorted({*up, *down})
-    p = _primes_up_to(x)
+    p = _upto(p, x)
     # theta at every root, each an exact sum rounded once
-    pieces = accumulators.exact_sum(np.log(p), ends=p.searchsorted(roots, side="right"))
-    theta = {r: s / _UNIT for r, s in zip(roots, itertools.accumulate(pieces))}
+    pieces = accumulators.exact_sum(np.log(p), p.searchsorted(roots, side="right"))
+    theta = {r: _round_once(s) for r, s in zip(roots, itertools.accumulate(pieces))}
     observed = sum(theta[r] for r in up) - sum(theta[r] for r in down)
     return _report("chi_difference", {"x": x}, observed, float(x))
 
@@ -142,7 +132,7 @@ def check_chi_inequality(x: int) -> BoundReport:
 # --- Stirling bounds -----------------------------------------------------
 
 def _log_factorial(n: int) -> float:
-    return accumulators.range_sum(np.log, 1, n) / _UNIT
+    return accumulators.range_sum(np.log, 1, n)
 
 
 def _binet_term(m: int) -> float:
@@ -213,12 +203,12 @@ def check_stirling(x: float) -> list[BoundReport]:
 
 # --- Legendre factorial identity ----------------------------------------
 
-def check_legendre_factorial(n: int) -> BoundReport:
+def check_legendre_factorial(n: int, p: np.ndarray) -> BoundReport:
     if not 2 <= n <= 10**6:
         raise ValueError(f"n must be in [2, 10^6], got {n}")
     # the primes are sieved, so they skip legendre_valuation's primality test
-    lhs = math.fsum(primes._valuation(n, p) * math.log(p)
-                    for p in _primes_up_to(n).tolist())
+    lhs = math.fsum(primes._valuation(n, q) * math.log(q)
+                    for q in _upto(p, n).tolist())
     rhs = _log_factorial(n)
     rel = abs(lhs - rhs) / rhs
     return _report(
@@ -229,10 +219,11 @@ def check_legendre_factorial(n: int) -> BoundReport:
 
 # --- Abel summation identity with pi(x) ---------------------------------
 
-def check_abel_pi_identity(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
+def check_abel_pi_identity(series: Sequence[SumCheckpoint],
+                           p: np.ndarray) -> list[BoundReport]:
     series = [cp for cp in series if cp.x >= 2]
-    # One sieve to the largest threshold; each checkpoint takes a prefix.
-    all_p = _primes_up_to(max((cp.x for cp in series), default=0))
+    # The primes to the largest threshold; each checkpoint takes a prefix.
+    all_p = _upto(p, max((cp.x for cp in series), default=0))
     ks = all_p.searchsorted([cp.x for cp in series], side="right").tolist()
     # pi is a step function: the integral of pi(t)/t^2 over [2, x] is the
     # exact sum of the pieces j (1/p_j - 1/p_{j+1}), j < k = pi(x), and of
@@ -244,13 +235,13 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint]) -> list[BoundReport]
         pieces = np.arange(lo + 1, lo + len(r)) * (r[:-1] - r[1:])
         inside = sorted(k for k in set(ks) if lo + 1 < k <= lo + len(r))
         ends = [k - 1 - lo for k in inside] + [len(pieces)]
-        sums = accumulators.exact_sum(pieces, scratch, ends)
+        sums = accumulators.exact_sum(pieces, ends, scratch)
         _, *at_cuts, total = itertools.accumulate(sums, initial=total)
         heads.update(zip(inside, at_cuts))
     reports = []
     for cp, k in zip(series, ks):
         last = k * (1.0 / float(all_p[k - 1]) - 1.0 / cp.x)
-        rhs = k / cp.x + (heads[k] + accumulators._units(last)) / _UNIT
+        rhs = k / cp.x + _round_once(heads[k] + accumulators._units(last))
         rel = abs(cp.recip - rhs) / cp.recip
         reports.append(_report("abel_pi_identity", {"x": cp.x}, rel, 1e-10))
     return reports
@@ -258,17 +249,16 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint]) -> list[BoundReport]
 
 # --- Remainder identity and its bound -----------------------------------
 
-def check_remainder_identity(G: int, rho: float) -> BoundReport:
+def check_remainder_identity(G: int, rho: float, p: np.ndarray) -> BoundReport:
     if G < 3:
         raise ValueError(f"G must be >= 3, got {G}")
     if not 0 < rho <= 1:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     s = 1.0 + rho
     full = special.prime_zeta(s)
-    head = math.fsum(p ** -s for p in _primes_up_to(G).tolist())
+    head = math.fsum(q ** -s for q in _upto(p, G).tolist())
     prime_tail = full.value - head
-    # rho = 1 sits outside the public tail helper's open interval
-    n_tail = special._tail_direct(G, rho)
+    n_tail = special.log_weighted_tail_direct(G, rho)
     remainder = prime_tail - n_tail.value
     bound = 4.0 / math.log(G + 1) + 1.0 / (G * math.log(G + 1))
     return _report(
@@ -314,11 +304,11 @@ def check_grossehilfsatz2(G: int, rhos: list[float]) -> list[BoundReport]:
 
 # --- Mertens product theorem --------------------------------------------
 
-def check_mertens_product(G: int) -> BoundReport:
+def check_mertens_product(G: int, p: np.ndarray) -> BoundReport:
     if G < 3:
         raise ValueError(f"G must be >= 3, got {G}")
     # np.log1p rounds 28 of the primes to 2^20 otherwise than math.log1p
-    terms = (-1.0 / _primes_up_to(G)).tolist()
+    terms = (-1.0 / _upto(p, G)).tolist()
     log_product = -math.fsum(map(math.log1p, terms))
     gamma = special.euler_gamma().value
     delta = log_product - gamma - math.log(math.log(G))
@@ -366,13 +356,10 @@ def mertens_error_table(series: Sequence[SumCheckpoint], bundle: ConstantsBundle
                 x=cp.x, true_error=true_err, schoenfeld_bound=schoenfeld,
                 ratio=true_err / schoenfeld, signed_error=signed,
             ))
-        # Mertens (1.2), stated with ln ln [x]
-        G = cp.x
-        delta_mertens = cp.recip - math.log(math.log(G)) - B
-        bound_mertens = 4.0 / math.log(G + 1) + 2.0 / (G * math.log(G))
-        reports.append(_report(
-            "mertens_delta", {"x": cp.x}, delta_mertens, bound_mertens,
-        ))
+        # Mertens (1.2), stated with ln ln [x]: x is an integer, so that is
+        # ln ln x, and the delta is ``signed``
+        bound_mertens = 4.0 / math.log(x + 1) + 2.0 / (x * lx)
+        reports.append(_report("mertens_delta", {"x": cp.x}, signed, bound_mertens))
         reports.append(_report("modern_delta", {"x": cp.x}, signed, 4.0 / lx))
         width = _dusart_width(x)
         reports.append(_report(
@@ -406,7 +393,6 @@ def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
     CHECK_NAMES.  The checks that need primes take them from one sieve, to
     the largest x that the selected ones reach, released on return.
     """
-    global _sieved
     want = set(only) if only else set(CHECK_NAMES)
     unknown = want - set(CHECK_NAMES)
     if unknown:
@@ -422,34 +408,31 @@ def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
         "product": (3, 10, min(2**20, max(3, x_max))),
     }
     limit = max((x for name in want & at.keys() for x in at[name]), default=0)
-    _sieved = (limit, _primes_up_to(limit))
+    p = primes.primes_up_to(limit) if limit else np.empty(0, dtype=np.int64)
     reports: list[BoundReport] = []
     rows: list[ErrorTableRow] = []
-    try:
-        if "grossehilfsatz1" in want:
-            reports += check_grossehilfsatz1(series)
-        if "theta" in want:
-            reports += check_theta(series)
-        if "chi" in want:
-            reports += map(check_chi_inequality, at["chi"])
-        if "stirling" in want:
-            for x in (4.0, 5.0, 100.0, 10**4):
-                reports += check_stirling(x)
-        if "legendre" in want:
-            reports += map(check_legendre_factorial, at["legendre"])
-        if "abel" in want:
-            reports += check_abel_pi_identity(abel_series)
-        if "remainder" in want:
-            for G in at["remainder"]:
-                for rho in (1.0, 0.5, 0.1):
-                    reports.append(check_remainder_identity(G, rho))
-        if "grossehilfsatz2" in want:
-            reports += check_grossehilfsatz2(10**4, [1e-2, 1e-3, 1e-4])
-        if "product" in want:
-            reports += map(check_mertens_product, at["product"])
-        if "table" in want:
-            rows, table_reports = mertens_error_table(series, bundle)
-            reports += table_reports
-    finally:
-        _sieved = (0, np.empty(0, dtype=np.int64))
+    if "grossehilfsatz1" in want:
+        reports += check_grossehilfsatz1(series)
+    if "theta" in want:
+        reports += check_theta(series)
+    if "chi" in want:
+        reports += [check_chi_inequality(x, p) for x in at["chi"]]
+    if "stirling" in want:
+        for x in (4.0, 5.0, 100.0, 10**4):
+            reports += check_stirling(x)
+    if "legendre" in want:
+        reports += [check_legendre_factorial(n, p) for n in at["legendre"]]
+    if "abel" in want:
+        reports += check_abel_pi_identity(abel_series, p)
+    if "remainder" in want:
+        for G in at["remainder"]:
+            for rho in (1.0, 0.5, 0.1):
+                reports.append(check_remainder_identity(G, rho, p))
+    if "grossehilfsatz2" in want:
+        reports += check_grossehilfsatz2(10**4, [1e-2, 1e-3, 1e-4])
+    if "product" in want:
+        reports += [check_mertens_product(G, p) for G in at["product"]]
+    if "table" in want:
+        rows, table_reports = mertens_error_table(series, bundle)
+        reports += table_reports
     return reports, rows

@@ -193,8 +193,9 @@ def test_criterion_07_log_weight_constant_chain():
 
 def test_criterion_08_identity_checks(series_1e8):
     small = [c for c in series_1e8 if c.x <= 2**20]
-    abel = verifier.check_abel_pi_identity(small)
-    legendre = [verifier.check_legendre_factorial(n) for n in (10, 100, 10**4)]
+    p = primes.primes_up_to(2**20)
+    abel = verifier.check_abel_pi_identity(small, p)
+    legendre = [verifier.check_legendre_factorial(n, p) for n in (10, 100, 10**4)]
     lambdas_ok = True
     n = 5
     while n <= 10**6:
@@ -225,8 +226,9 @@ def test_criterion_09_tail_asymptotics():
 
 
 def test_criterion_10_remainder_bound():
+    p = primes.primes_up_to(10**4)
     reports = [
-        verifier.check_remainder_identity(G, rho)
+        verifier.check_remainder_identity(G, rho, p)
         for G in (3, 10, 100, 10**4)
         for rho in (1.0, 0.5, 0.1)
     ]

@@ -274,6 +274,11 @@ wide = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023))
 zero = st.sampled_from([0.0, -0.0])
 
 
+def _exact(x, scratch=None):
+    """The exact sum of ``x`` as one piece, a Fraction."""
+    return Fraction(exact_sum(x, [len(x)], scratch)[0], 1 << UNIT_BITS)
+
+
 class TestExactSum:
     @given(
         st.lists(st.one_of(finite, subnormal, wide, zero), max_size=60),
@@ -284,36 +289,36 @@ class TestExactSum:
         exact = sum(map(Fraction, vals), Fraction(0))
         # sorted input has one run per exponent, shuffled up to one per value
         for order in (sorted(vals), sorted(vals, reverse=True)):
-            assert exact_sum(np.array(order, dtype=np.float64)) == exact
+            assert _exact(np.array(order, dtype=np.float64)) == exact
         rnd.shuffle(vals)
-        assert exact_sum(np.array(vals, dtype=np.float64)) == exact
+        assert _exact(np.array(vals, dtype=np.float64)) == exact
 
     def test_limbs_carry_past_2_53(self):
         # 10^5 full 53-bit mantissas in one exponent bin, both signs
         v = np.nextafter(1.0, 2.0)
         x = np.concatenate([np.full(10**5, v), np.full(3, -v / 3)])
-        assert exact_sum(x) == 10**5 * Fraction(v) + 3 * Fraction(-v / 3)
+        assert _exact(x) == 10**5 * Fraction(v) + 3 * Fraction(-v / 3)
 
     def test_one_long_run_and_a_run_per_value(self):
         v = np.nextafter(1.0, 2.0)
         # 2^20 values of one exponent, which the kernel cuts into 2^11 runs,
         # then 3
         x = np.concatenate([np.full(2**20, v), np.full(3, -v / 3 * 2)])
-        assert exact_sum(x) == 2**20 * Fraction(v) + 3 * Fraction(-v / 3 * 2)
+        assert _exact(x) == 2**20 * Fraction(v) + 3 * Fraction(-v / 3 * 2)
         # the exponent changes at every value, and each exponent recurs
         exps = np.tile(np.arange(-1074, 1024, 7), 3)
         x = np.ldexp(np.resize([v, -0.75, 0.625 + 2**-40], exps.size), exps)
         assert np.all(np.frexp(x)[1][1:] != np.frexp(x)[1][:-1])
-        assert exact_sum(x) == sum(map(Fraction, x.tolist()), Fraction(0))
+        assert _exact(x) == sum(map(Fraction, x.tolist()), Fraction(0))
 
     def test_empty_and_zero(self):
-        assert exact_sum(np.array([])) == 0
-        assert exact_sum(np.zeros(5)) == 0
+        assert _exact(np.array([])) == 0
+        assert _exact(np.zeros(5)) == 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            exact_sum(np.array([1.0, bad, 2.0]))
+            _exact(np.array([1.0, bad, 2.0]))
 
     @given(st.lists(
         st.lists(st.one_of(finite, subnormal, wide, zero), max_size=60),
@@ -326,17 +331,17 @@ class TestExactSum:
         for scratch in (SumScratch(), SumScratch(60)):
             for vals in arrays:
                 x = np.array(vals, dtype=np.float64)
-                assert exact_sum(x, scratch) == sum(map(Fraction, vals), Fraction(0))
+                assert _exact(x, scratch) == sum(map(Fraction, vals), Fraction(0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_with_a_used_scratch(self, bad):
         scratch = SumScratch()
         x = np.array([2.0**-1074, -0.0, 3.5, 1e300])
-        assert exact_sum(x, scratch) == sum(map(Fraction, x.tolist()))
+        assert _exact(x, scratch) == sum(map(Fraction, x.tolist()))
         with pytest.raises(ValueError):
-            exact_sum(np.array([1.0, bad]), scratch)
+            _exact(np.array([1.0, bad]), scratch)
         # the finite values of the rejected call leave no trace behind
-        assert exact_sum(x[1:3], scratch) == Fraction(3.5)
+        assert _exact(x[1:3], scratch) == Fraction(3.5)
 
 
     @given(
@@ -357,7 +362,7 @@ class TestExactSum:
             for ends in (cuts, cuts + [n], [1, n - 1, n] if n >= 2 else [n]):
                 want = [sum(map(Fraction, order[a:b]), Fraction(0))
                         for a, b in zip([0] + ends, ends)]
-                got = exact_sum(x, scratch, ends)
+                got = exact_sum(x, ends, scratch)
                 assert [Fraction(v, 1 << UNIT_BITS) for v in got] == want
 
     def test_many_pieces_over_wide_exponents_take_memory_by_the_runs(self):
@@ -369,7 +374,7 @@ class TestExactSum:
         scratch = SumScratch(4000)
         tracemalloc.start()
         try:
-            got = exact_sum(x, scratch, ends)
+            got = exact_sum(x, ends, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,12 +384,12 @@ class TestExactSum:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_pieces_reject_non_finite(self, bad):
         with pytest.raises(ValueError):
-            exact_sum(np.array([1.0, 2.0, bad, 2.0]), SumScratch(), [1, 3, 4])
+            exact_sum(np.array([1.0, 2.0, bad, 2.0]), [1, 3, 4], SumScratch())
 
     @pytest.mark.parametrize("ends", [[2, 1], [-1, 3], [1, 4]])
     def test_pieces_reject_ends_out_of_order_or_range(self, ends):
         with pytest.raises(ValueError):
-            exact_sum(np.ones(3), None, ends)
+            exact_sum(np.ones(3), ends)
 
     @pytest.mark.parametrize("count", [2**9 - 1, 2**9, 2**9 + 1, 3 * 2**9 + 5])
     @pytest.mark.parametrize("v", [2 - 2**-52, -(2 - 2**-52)])
@@ -392,10 +397,10 @@ class TestExactSum:
         # every mantissa bit set, so each run of at most 2^9 values sums to
         # its largest total; cuts fall next to the first 2^9 edge
         x = np.full(count, v)
-        assert exact_sum(x) == count * Fraction(v)
+        assert _exact(x) == count * Fraction(v)
         ends = sorted(min(c, count) for c in (2**9 - 1, 2**9, 2**9 + 1, count))
         want = [(b - a) * Fraction(v) for a, b in zip([0] + ends, ends)]
-        got = exact_sum(x, SumScratch(), ends)
+        got = exact_sum(x, ends, SumScratch())
         assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
 
     def test_long_runs_of_zeros_and_subnormals_next_to_normals(self):
@@ -409,11 +414,11 @@ class TestExactSum:
         ])
         vals = x.tolist()
         exact = sum(map(Fraction, vals), Fraction(0))
-        assert exact_sum(x) == exact
+        assert _exact(x) == exact
         ends = [512, 600, 1300, 1302, 2403, 2933, 3449, len(x)]
         want = [sum(map(Fraction, vals[a:b]), Fraction(0))
                 for a, b in zip([0] + ends, ends)]
-        got = exact_sum(x, SumScratch(), ends)
+        got = exact_sum(x, ends, SumScratch())
         assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
 
     def test_strided_reversed_int64_and_float32_input(self):
@@ -423,18 +428,18 @@ class TestExactSum:
         scratch = SumScratch()
         for view in (x[::3], x[::-1]):
             vals = view.tolist()
-            assert exact_sum(view, scratch) == sum(map(Fraction, vals), Fraction(0))
+            assert _exact(view, scratch) == sum(map(Fraction, vals), Fraction(0))
             ends = [5, 700, len(vals)]
             want = [sum(map(Fraction, vals[a:b]), Fraction(0))
                     for a, b in zip([0] + ends, ends)]
-            got = exact_sum(view, scratch, ends)
+            got = exact_sum(view, ends, scratch)
             assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
         assert np.array_equal(x, before)
         # integers below 2^53 and float32 values are float64 values too
         ints = rnd.integers(-2**52, 2**52, 2000)
-        assert exact_sum(ints, scratch) == sum(ints.tolist())
+        assert _exact(ints, scratch) == sum(ints.tolist())
         f32 = x.astype(np.float32)
-        assert exact_sum(f32, scratch) == sum(map(Fraction, f32.tolist()), Fraction(0))
+        assert _exact(f32, scratch) == sum(map(Fraction, f32.tolist()), Fraction(0))
 
     def test_a_block_of_prime_terms_is_summed_in_place(self):
         # with a fitted scratch, one call on a contiguous float64 block
@@ -442,10 +447,10 @@ class TestExactSum:
         p = primes.primes_up_to(2**22)[-BLOCK:].astype(np.float64)
         terms = 1.0 / p
         scratch = SumScratch(BLOCK)
-        exact_sum(terms, scratch, [BLOCK])
+        exact_sum(terms, [BLOCK], scratch)
         tracemalloc.start()
         try:
-            got = exact_sum(terms, scratch, [BLOCK])
+            got = exact_sum(terms, [BLOCK], scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -598,11 +603,17 @@ def test_a_stream_frees_each_segment_before_it_sieves_the_next():
     assert peak < 5 << 20
 
 
+def _remainder_checks(p):
+    """The suite's 12 remainder checks, over the primes ``p``."""
+    return [verifier.check_remainder_identity(G, rho, p)
+            for G in (3, 10, 100, 10**4) for rho in (1.0, 0.5, 0.1)]
+
+
 @pytest.mark.parametrize("run", [
     lambda: constants.H_direct(2**23),
     lambda: list(accumulate(2**24, [2**20, 2**24])),
     lambda: special.euler_gamma.__wrapped__(10**6),
-    lambda: verifier.run_suite([], None, only=["remainder"]),
+    lambda: _remainder_checks(primes.primes_up_to(10**4)),
 ], ids=["H_direct(2^23)", "accumulate(2^24)", "euler_gamma(10^6)", "remainder"])
 def test_a_stream_holds_one_segment_and_one_scratch(run):
     tracemalloc.start()
@@ -629,7 +640,7 @@ def test_range_sum_is_the_exact_sum_over_the_range(a, b):
     # f saw every integer of the range once, in order, in blocks
     assert all(0 < len(k) <= BLOCK for k in seen)
     assert np.array_equal(np.concatenate([n[:0], *seen]), n)
-    assert total == exact_sum(f(n)) * 2**UNIT_BITS
+    assert total == float(_exact(f(n)))
 
 
 # The BLOCK-th prime, the last of the first block of a stream.

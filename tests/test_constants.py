@@ -95,7 +95,9 @@ def test_H_direct_lies_within_its_bound_of_the_sum_over_all_primes():
     parts, bound = [], 0.0
     for k in range(2, 60):
         c = limit if k == 2 else min(limit, int(10.0 ** (18.0 / k)))
-        sieved = float(accumulators.exact_sum([1 / q**k for q in p if q <= c]))
+        terms = [1 / q**k for q in p if q <= c]
+        # the exact sum, rounded once: int / int rounds correctly
+        sieved = accumulators.exact_sum(terms, [len(terms)])[0] / 2**accumulators.UNIT_BITS
         total = floorsums.prime_power_sum(k, c)
         assert abs(total.value - sieved) <= total.err_bound + 2**-53 * sieved
         parts.append(sieved / k)

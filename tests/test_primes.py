@@ -1,3 +1,4 @@
+import ast
 import math
 import pathlib
 import re
@@ -49,6 +50,12 @@ def test_only_the_prime_and_sum_layers_stream_segments():
         if re.search(r"\biter_segments\(", f.read_text())
     )
     assert callers == ["accumulators.py", "primes.py"]
+    # and the verifier sieves in one place: each check reads a prefix of
+    # the array that the suite driver passes it
+    text = (src / "verifier.py").read_text()
+    sievers = [getattr(node, "name", None) for node in ast.parse(text).body
+               if "primes_up_to(" in ast.get_source_segment(text, node)]
+    assert sievers == ["run_suite"]
 
 
 def test_start_skips_segments_below_it():

@@ -248,12 +248,14 @@ class TestLogWeightedTail:
         # oracle, where the direct sum to 10^6 read 9.1e-9 off at rho = 0.1
         N = max(G, 2**10)
         n = np.arange(G + 1, N + 1, dtype=np.float64)
-        direct = float(accumulators.exact_sum(special._tail_f(n, rho)))
+        # the exact sum, rounded once: int / int rounds correctly
+        direct = (accumulators.exact_sum(special._tail_f(n, rho), [len(n)])[0]
+                  / 2**accumulators.UNIT_BITS)
         tail = exp_integral_e1(rho * math.log(N))
         f_N = float(special._tail_f(np.float64(N), rho))
         value = math.fsum(
             [direct, tail.value, -f_N / 2, -special._tail_fprime(N, rho) / 12])
-        got = special._tail_direct(G, rho)
+        got = log_weighted_tail_direct(G, rho)
         assert got.value == value
         assert got.err_bound < 1e-15
         assert abs(got.value - float(_tail_oracle(G, rho))) <= got.err_bound + 1e-14
@@ -271,10 +273,14 @@ class TestLogWeightedTail:
         assert special._tail_fthird(t, rho) == pytest.approx(float(exact), rel=1e-13)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            log_weighted_tail_boas(2, 0.5)
-        with pytest.raises(DomainError):
-            log_weighted_tail_direct(10, 1.0)
+        # rho = 1 lies inside: the remainder identity needs it
+        assert log_weighted_tail_direct(10, 1.0).value == 0.030306183021640162
+        for tail in (log_weighted_tail_direct, log_weighted_tail_boas):
+            for rho in (0.0, -0.1, 1.5):
+                with pytest.raises(DomainError):
+                    tail(10, rho)
+            with pytest.raises(DomainError):
+                tail(2, 0.5)
 
 
 def test_sum_log_over_n_squared():

@@ -27,6 +27,12 @@ def small_series():
     return list(accumulators.accumulate(2**20, [2, 10, 100, 2**16, 2**20]))
 
 
+@pytest.fixture(scope="module")
+def p20():
+    """The primes up to 2^20, as the suite sieves them for every check."""
+    return primes.primes_up_to(2**20)
+
+
 def report_by_x(reports, x):
     return next(r for r in reports if r.params.get("x") == x)
 
@@ -77,23 +83,23 @@ class TestTheta:
 
 
 class TestChi:
-    def test_hand_enumeration_at_4(self):
-        r = check_chi_inequality(4)
+    def test_hand_enumeration_at_4(self, p20):
+        r = check_chi_inequality(4, p20)
         # chi(4) - chi(2) = (ln2 + ln3 + ln2) - ln2 = ln 6
         assert r.observed == pytest.approx(math.log(6), abs=1e-12)
         assert r.bound == 4.0 and r.passed
 
-    def test_smallest_case(self):
-        r = check_chi_inequality(2)
+    def test_smallest_case(self, p20):
+        r = check_chi_inequality(2, p20)
         assert r.observed == pytest.approx(math.log(2), abs=1e-15)
         assert r.passed
 
-    def test_large(self):
-        assert check_chi_inequality(10**6).passed
+    def test_large(self, p20):
+        assert check_chi_inequality(10**6, p20).passed
 
-    def test_rejects_one(self):
+    def test_rejects_one(self, p20):
         with pytest.raises(ValueError):
-            check_chi_inequality(1)
+            check_chi_inequality(1, p20)
 
 
 def _rounded_once(values: np.ndarray) -> float:
@@ -115,7 +121,7 @@ class TestExactSums:
                 k += 1
             return total
 
-        assert check_chi_inequality(x).observed == chi(float(x)) - chi(x / 2.0)
+        assert check_chi_inequality(x, p).observed == chi(float(x)) - chi(x / 2.0)
 
     @pytest.mark.parametrize("n", [4, 100, 10**4])
     def test_log_factorial_is_rounded_once(self, n):
@@ -149,41 +155,41 @@ class TestStirling:
 
 
 class TestLegendreFactorial:
-    def test_examples(self):
-        r10 = check_legendre_factorial(10)
+    def test_examples(self, p20):
+        r10 = check_legendre_factorial(10, p20)
         assert "15.104412573075516" in r10.note
         assert r10.passed
-        assert check_legendre_factorial(2).passed
-        assert check_legendre_factorial(10**4).passed
+        assert check_legendre_factorial(2, p20).passed
+        assert check_legendre_factorial(10**4, p20).passed
 
-    def test_domain(self):
+    def test_domain(self, p20):
         with pytest.raises(ValueError):
-            check_legendre_factorial(1)
+            check_legendre_factorial(1, p20)
 
 
 class TestAbelPiIdentity:
-    def test_at_10(self):
+    def test_at_10(self, p20):
         series = list(accumulators.accumulate(10, [10]))
-        r = check_abel_pi_identity(series)[0]
+        r = check_abel_pi_identity(series, p20)[0]
         assert r.passed
         # both sides equal sum 1/p over {2,3,5,7}
         assert series[0].recip == pytest.approx(
             1.1761904761904762, abs=1e-15
         )
 
-    def test_at_2_empty_integral(self):
+    def test_at_2_empty_integral(self, p20):
         series = list(accumulators.accumulate(2, [2]))
-        r = check_abel_pi_identity(series)[0]
+        r = check_abel_pi_identity(series, p20)[0]
         assert r.passed and r.observed <= 1e-15
 
-    def test_within_tolerance_up_to_2_20(self, small_series):
-        assert all(r.passed for r in check_abel_pi_identity(small_series))
+    def test_within_tolerance_up_to_2_20(self, small_series, p20):
+        assert all(r.passed for r in check_abel_pi_identity(small_series, p20))
 
 
 class TestRemainderIdentity:
     @pytest.mark.parametrize("G,rho", [(10, 0.5), (100, 0.1), (3, 1.0)])
-    def test_examples_pass(self, G, rho):
-        r = check_remainder_identity(G, rho)
+    def test_examples_pass(self, G, rho, p20):
+        r = check_remainder_identity(G, rho, p20)
         assert r.passed and r.margin > 0
 
 
@@ -212,9 +218,9 @@ class TestGrossehilfsatz2:
 
 
 class TestMertensProduct:
-    def test_at_10_direct(self):
+    def test_at_10_direct(self, p20):
         from mertens import special
-        r = check_mertens_product(10)
+        r = check_mertens_product(10, p20)
         expected = (
             -math.fsum(math.log1p(-1 / p) for p in (2, 3, 5, 7))
             - special.euler_gamma().value
@@ -224,8 +230,8 @@ class TestMertensProduct:
         assert r.passed
 
     @pytest.mark.parametrize("G", [3, 10, 2**20])
-    def test_passes(self, G):
-        r = check_mertens_product(G)
+    def test_passes(self, G, p20):
+        r = check_mertens_product(G, p20)
         assert r.passed and r.margin > 0
 
 
@@ -302,14 +308,22 @@ class TestSuite:
         assert sieves["streams"] == []
         # the array is released when the suite returns
         assert [ref() for ref in sieves["arrays"]] == [None]
-        assert check_mertens_product(10).passed
-        assert sieves["limits"] == [2**20, 10]
 
     def test_the_remainder_checks_sieve_to_10_4(self, small_series, bundle, sieves):
         verifier.run_suite(small_series, bundle, only=["remainder"])
         assert sieves["limits"] == [10**4]
+        # no check that needs primes, so no sieve
         verifier.run_suite(small_series, bundle, only=["theta", "table"])
         assert sieves["limits"] == [10**4]
+
+    def test_a_check_called_alone_sieves_nothing(self, small_series, p20, sieves):
+        # each of the five reads the prefix of the array it is given
+        assert check_chi_inequality(10**6, p20).passed
+        assert check_legendre_factorial(10**4, p20).passed
+        assert all(r.passed for r in check_abel_pi_identity(small_series, p20))
+        assert check_remainder_identity(10**4, 1.0, p20).passed
+        assert check_mertens_product(2**20, p20).passed
+        assert sieves["limits"] == [] and sieves["streams"] == []
 
 
 def test_the_remainder_checks_sum_at_most_2_10_terms_each(monkeypatch):
