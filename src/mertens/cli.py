@@ -7,6 +7,7 @@ Identical configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -257,6 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Move the import heap to the permanent generation, so that neither the
+    # collections of this run nor those at interpreter exit scan it again.
+    # Here and not at import, so importing mertens leaves gc as it was.
+    gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,6 +7,11 @@ sum_{2 <= n <= v} n^-s at v <= r = isqrt(x) and at v = x // i, i <= r; each
 prime p <= r in turn does S(v) -= p^-s (S(v // p) - S(p - 1)) for v >= p^2.
 That is about x^(3/4) / ln x work in O(sqrt x) memory.  The primes p <= r are
 where the same recursion with s = 0 over v <= r steps: no sieve code is used.
+The primes with p^3 > x go as one batch, as Deleglise and Rivat split at
+x^(1/3) (Math. Comp. 1996): each reads only S(v) for v < x / p < x^(2/3),
+which only primes below x^(1/3) move, and moves only S(v) for v >= p^2 >
+x^(2/3).  So their updates are independent, and adding each one's terms,
+rounded as in the loop, in int64 gives the loop's values bit for bit.
 
 S(v) is an int64 count of 2^-F, F = 60 + s (0 for s = 0), below 2^62 as
 S(v) < 3 * 2^-s, so subtractions are exact.  Only the product p^-s d rounds:
@@ -36,6 +41,8 @@ U = 2.0**-53
 # Covers the roundings of the bounds' own arithmetic, a few per prime and
 # under 2^30 in all, and the (1 + u) factors the recurrence leaves out.
 SLACK = 1 + 2.0**-20
+# The most pairs (i, p) that one block of the batch holds.
+PAIRS = 1 << 16
 
 
 def _primes_to(r: int) -> np.ndarray:
@@ -81,6 +88,19 @@ def _start(s: int, x: int, r: int, V: np.ndarray, F: int):
     return table[: r + 1], large, eps
 
 
+def _pairs(m: np.ndarray):
+    """The pairs (i, k) with 1 <= i <= m[k], for a non-increasing m, ordered
+    by i and then k, as arrays of i - 1 and k in blocks of at most PAIRS."""
+    if not len(m):
+        return
+    n = np.searchsorted(-m, -np.arange(1, m[0] + 1), side="right")
+    ends = np.cumsum(n)  # pairs with i - 1 < e end at ends[e]
+    for a in range(0, int(ends[-1]), PAIRS):
+        at = np.arange(a, min(a + PAIRS, ends[-1]))
+        i = np.searchsorted(ends, at, side="right")
+        yield i, at - (ends[i] - n[i])
+
+
 def prime_power_sum(s: int, x: int) -> EvaluatedReal:
     """sum_{p <= x} p^-s over the primes, with a rigorous bound, for
     integers s >= 0, s != 1, and 1 <= x < 2^53 with x^s < 2^1000."""
@@ -93,8 +113,10 @@ def prime_power_sum(s: int, x: int) -> EvaluatedReal:
     small, large, eps = _start(s, x, r, V, F)
     top = float(large[0]) + eps
     v = np.arange(r + 1)
-    for p in _primes_to(r).tolist():
-        w = 1 / p**s
+    ps = _primes_to(r)
+    ws = [1 / p**s for p in ps.tolist()]
+    head = ps[ps * ps <= x // ps].tolist()  # the primes p^3 <= x
+    for p, w in zip(head, ws):
         c = small[p - 1]
         m = min(r, x // (p * p))  # S(x // i) moves for i <= m
         j = min(m, r // p)  # and reads S(x // (i p)) from large for i <= j
@@ -103,6 +125,15 @@ def prime_power_sum(s: int, x: int) -> EvaluatedReal:
         large[j:m] -= ((small[V[j:m] // p] - c) * w).astype(np.int64)
         if p * p <= r:
             small[p * p :] -= ((small[v[p * p :] // p] - c) * w).astype(np.int64)
+    tail = ps[len(head) :]
+    c, w = small[tail - 1], np.array(ws[len(head) :])
+    for i, k in _pairs(x // (tail * tail)):
+        q = (i + 1) * tail[k]  # S(x // q), from large for q <= r as in the loop
+        d = np.where(q <= r, large[np.minimum(q, r) - 1], small[np.minimum(x // q, r)])
+        t = ((d - c[k]) * w[k]).astype(np.int64)
+        cuts = np.flatnonzero(np.diff(i, prepend=-1))
+        large[i[cuts]] -= np.add.reduceat(t, cuts)
+    for w in ws:
         eps += w * (2 * eps + 4 * u * (top + 2 * eps)) + unit
     value = math.ldexp(float(large[0]), -F)
     return EvaluatedReal(value, (math.ldexp(eps, -F) + u * value) * SLACK)

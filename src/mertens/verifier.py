@@ -135,35 +135,36 @@ def _log_factorial(n: int) -> float:
     return accumulators.range_sum(np.log, 1, n)
 
 
-def _binet_term(m: int) -> float:
-    """(m + 1/2) ln(1 + 1/m) - 1 via its power series in 1/m.
+def _binet_terms(m: np.ndarray) -> np.ndarray:
+    """(m + 1/2) ln(1 + 1/m) - 1 at each integer m >= 1 of a float64 array,
+    via its power series in 1/m, each m stopping at its own stop rule.
 
     Direct evaluation cancels ~1 against ~1 and loses everything below
     1e-16; the series keeps full relative accuracy on a term of size
     ~1/(12 m^2).  Coefficient of (1/m)^j is (-1)^j (j-1)/(2 j (j+1)).
+    At m = 1 the series never meets its stop rule, but t_1 ~ 0.04 is
+    large enough that direct evaluation keeps precision.
     """
-    if m == 1:
-        # t_1 ~ 0.04: large enough that direct evaluation keeps precision
-        return 1.5 * math.log(2.0) - 1.0
     u = 1.0 / m
-    total = 0.0
     power = u * u
+    total = np.where(m == 1, 1.5 * math.log(2.0) - 1.0, 0.0)
+    live = m > 1
     j = 2
-    while True:
+    while live.any():
         term = power * (j - 1) / (2.0 * j * (j + 1))
-        total += term if j % 2 == 0 else -term
-        if term < 1e-18 * total:
-            return total
+        total = np.where(live, total + term if j % 2 == 0 else total - term, total)
+        live &= term >= 1e-18 * total
         power *= u
         j += 1
+    return total
 
 
 def stirling_lambda(n: int) -> float:
     """lambda in ln n! = n ln n - n + ln(n)/2 + ln sqrt(2 pi) + lambda/(12n).
 
     lambda/(12n) equals the tail sum of (m + 1/2) ln(1 + 1/m) - 1 over
-    m >= n (the telescoped Stirling remainder).  The head is summed
-    term by term; the remainder past N is bracketed by the enveloping
+    m >= n (the telescoped Stirling remainder).  The head is one exact
+    sum rounded once; the remainder past N is bracketed by the enveloping
     partial sums 1/(12N) - 1/(360 N^3) < tail < same + 1/(1260 N^5),
     so the absolute error in lambda is below 12n/(2520 N^5) ~ 1e-15.
     Naive subtraction of the two ~n ln n quantities would drown lambda's
@@ -172,7 +173,7 @@ def stirling_lambda(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     N = max(n, 2000)
-    head = math.fsum(_binet_term(m) for m in range(n, N))
+    head = accumulators.range_sum(_binet_terms, n, N - 1)
     tail = 1.0 / (12 * N) - 1.0 / (360 * N**3) + 0.5 / (1260 * N**5)
     return 12 * n * (head + tail)
 
@@ -250,15 +251,11 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint],
 # --- Remainder identity and its bound -----------------------------------
 
 def check_remainder_identity(G: int, rho: float, p: np.ndarray) -> BoundReport:
-    if G < 3:
-        raise ValueError(f"G must be >= 3, got {G}")
-    if not 0 < rho <= 1:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    n_tail = special.log_weighted_tail_direct(G, rho)  # checks G and rho
     s = 1.0 + rho
     full = special.prime_zeta(s)
     head = math.fsum(q ** -s for q in _upto(p, G).tolist())
     prime_tail = full.value - head
-    n_tail = special.log_weighted_tail_direct(G, rho)
     remainder = prime_tail - n_tail.value
     bound = 4.0 / math.log(G + 1) + 1.0 / (G * math.log(G + 1))
     return _report(

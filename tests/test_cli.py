@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -512,3 +514,24 @@ def test_every_bad_schedule_exits_2(spec):
         rc, err = _run_refusing_a_stream(
             [command, "--max", "2^20", f"--schedule={spec}"])
         assert rc == EXIT_USAGE and err.startswith("error: "), (command, spec, err)
+
+
+FREEZE_PROBE = """
+import gc, json, sys
+import mertens, mertens.cli
+imported = gc.get_freeze_count()
+code = mertens.cli.main(["constants"])
+print(json.dumps([imported, gc.get_freeze_count(), code]), file=sys.stderr)
+"""
+
+
+def test_only_main_freezes_the_import_heap():
+    # importing the package leaves the importer's gc as it was; main moves
+    # what the import made into the permanent generation
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", FREEZE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    imported, frozen, code = json.loads(done.stderr.splitlines()[-1])
+    assert (imported, code) == (0, EXIT_OK) and frozen > 0
+    assert "gamma" in json.loads(done.stdout)

@@ -1,13 +1,14 @@
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mertens import primes
+from mertens import floorsums, primes
 from mertens.accumulators import UNIT_BITS, accumulate, exact_sum
-from mertens.floorsums import prime_power_sum
+from mertens.floorsums import PAIRS, prime_power_sum
 from mertens.special import EvaluatedReal
 
 
@@ -65,3 +66,72 @@ def test_every_sum_up_to_2000_against_brute_force(s):
 def test_rejects_arguments_outside_its_domain(s, x):
     with pytest.raises(ValueError):
         prime_power_sum(s, x)
+
+
+def _loop_prime_power_sum(s, x):
+    """The recursion with one numpy step per prime p <= sqrt(x), in order:
+    the reference that the batch of the primes p^3 > x must match."""
+    r = math.isqrt(x)
+    V = x // np.arange(1, r + 1)
+    u, unit, F = (floorsums.U, 1.0, 60 + s) if s else (0.0, 0.0, 0)
+    small, large, eps = floorsums._start(s, x, r, V, F)
+    top = float(large[0]) + eps
+    v = np.arange(r + 1)
+    for p in floorsums._primes_to(r).tolist():
+        w = 1 / p**s
+        c = small[p - 1]
+        m = min(r, x // (p * p))
+        j = min(m, r // p)
+        large[:j] -= ((large[p - 1 : j * p : p] - c) * w).astype(np.int64)
+        large[j:m] -= ((small[V[j:m] // p] - c) * w).astype(np.int64)
+        if p * p <= r:
+            small[p * p :] -= ((small[v[p * p :] // p] - c) * w).astype(np.int64)
+        eps += w * (2 * eps + 4 * u * (top + 2 * eps)) + unit
+    value = math.ldexp(float(large[0]), -F)
+    return EvaluatedReal(value, (math.ldexp(eps, -F) + u * value) * floorsums.SLACK)
+
+
+def _tail_pair_count(x):
+    p = floorsums._primes_to(math.isqrt(x))
+    p = p[p * p > x // p]
+    return int((x // (p * p)).sum())
+
+
+# Both sides of the cubes of 31, 97 and 463, where a prime leaves the loop
+# for the batch; 10^8, as H_direct's oracle runs it; and 2^29, whose batch
+# takes two blocks.
+CUBES = [q**3 + d for q in (31, 97, 463) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("s", [0, 2, 3])
+def test_the_batch_matches_the_loop_bit_for_bit_up_to_2000(s):
+    for x in range(1, 2001):
+        assert prime_power_sum(s, x) == _loop_prime_power_sum(s, x)
+
+
+@pytest.mark.parametrize("x", CUBES)
+@pytest.mark.parametrize("s", [0, 2, 3])
+def test_the_batch_matches_the_loop_bit_for_bit_at_cubes(s, x):
+    assert prime_power_sum(s, x) == _loop_prime_power_sum(s, x)
+
+
+@pytest.mark.parametrize("s, x", [(2, 10**8), (0, 2**29), (2, 2**29)])
+def test_the_batch_matches_the_loop_bit_for_bit_at_large_x(s, x):
+    if x == 2**29:
+        assert _tail_pair_count(x) > PAIRS
+    assert prime_power_sum(s, x) == _loop_prime_power_sum(s, x)
+
+
+def test_the_pairs_come_in_blocks_of_at_most_PAIRS():
+    x = 2**29
+    p = floorsums._primes_to(math.isqrt(x))
+    m = x // (p * p)
+    m = m[m < p]  # the primes p^3 > x
+    blocks = list(floorsums._pairs(m))
+    assert len(blocks) == 2
+    assert all(len(i) == len(k) <= PAIRS for i, k in blocks)
+    i = np.concatenate([i for i, _ in blocks])
+    k = np.concatenate([k for _, k in blocks])
+    expected = [(a, b) for a in range(m[0]) for b in range(len(m)) if a < m[b]]
+    assert list(zip(i.tolist(), k.tolist())) == expected
+    assert list(floorsums._pairs(m[:0])) == []

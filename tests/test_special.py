@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from mertens import accumulators, primes, special
+from mertens import accumulators, primes, special, verifier
 from mertens.accumulators import BLOCK
 from mertens.special import (
     DomainError,
@@ -275,7 +276,9 @@ class TestLogWeightedTail:
     def test_domain(self):
         # rho = 1 lies inside: the remainder identity needs it
         assert log_weighted_tail_direct(10, 1.0).value == 0.030306183021640162
-        for tail in (log_weighted_tail_direct, log_weighted_tail_boas):
+        # the remainder check raises the tail's own error, before prime_zeta
+        check = functools.partial(verifier.check_remainder_identity, p=np.array([2, 3, 5]))
+        for tail in (log_weighted_tail_direct, log_weighted_tail_boas, check):
             for rho in (0.0, -0.1, 1.5):
                 with pytest.raises(DomainError):
                     tail(10, rho)

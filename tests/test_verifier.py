@@ -1,4 +1,5 @@
 import math
+import signal
 import sys
 import weakref
 from fractions import Fraction
@@ -146,6 +147,22 @@ class TestStirling:
     def test_all_pass_at_various_x(self):
         for x in (4.0, 4.5, 10.0, 1000.0, 12345.6):
             assert all(r.passed for r in check_stirling(x))
+
+    def test_lambda_at_1_takes_the_closed_form(self):
+        # ln 1! = 0, so lambda = 12 (1 - ln sqrt(2 pi)).  The series never
+        # meets its stop rule at m = 1, so the alarm ends the test if that
+        # term enters the array loop
+        def stuck(*_):
+            raise TimeoutError("m = 1 entered the series loop")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            lam = stirling_lambda(1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert abs(lam - 12 * (1 - math.log(math.sqrt(2 * math.pi)))) <= 1e-14
 
     def test_lambda_in_unit_interval_log_sampled(self):
         n = 5
