@@ -49,6 +49,12 @@ class CheckpointFormatError(ValueError):
 # kernel calls), which made a stream to 2^30 about 4 % slower.
 BLOCK = 1 << 16
 
+# The most cuts that one ``exact_sum`` call takes, and the most values that a
+# list next to it holds: a piece's exact sum is a Python int of about 170
+# bytes, so 2^16 cuts per call held about 32 MiB in three lists.  An exact
+# sum does not depend on how its terms are split between calls.
+CUTS = 1 << 12
+
 
 class SumScratch:
     """Work arrays for ``exact_sum``, 17 bytes a value: the sign and
@@ -234,9 +240,10 @@ def accumulate(
     taken as one int64 array; it is checked when the first row is asked
     for.  Each row is yielded as soon as the primes up to its threshold
     are summed, and none is kept, so the rows take no memory that grows
-    with the schedule.  Each block of at most BLOCK primes costs one
-    ``exact_sum`` call per sum, cut at every threshold inside the block,
-    so the cost of the stream does not grow with the number of thresholds.
+    with the schedule.  Each pass over a block of at most BLOCK primes costs
+    one ``exact_sum`` call per sum, cut at up to CUTS thresholds inside the
+    block, so a block with at most CUTS thresholds costs three calls
+    however many it has, and no list of a pass is longer than CUTS + 1.
     """
     n_max = int(n_max)
     check_budget(n_max, force)
@@ -271,30 +278,35 @@ def accumulate(
         return [SumCheckpoint(x, pi, *vals) for x in xs.tolist()]
 
     for block in _prime_blocks(n_max, start, segment_size):
-        # the thresholds below the block's last prime cut it; the others
-        # wait for the next block
-        j = i + int(schedule[i:].searchsorted(block[-1]))
-        seen = block.searchsorted(schedule[i:j], side="right")
-        # one cut for all the thresholds that see the same primes, the
-        # last of them at i + last[k]; a cut at 0 sees none of the block
-        last = np.flatnonzero(np.diff(seen, append=len(block)))
-        ends = seen[last].tolist() + [len(block)]
-        bounds = (last + (i + 1)).tolist() + [j]
-        # one float64 copy of the block for the three ufuncs, one row of terms
-        p, t = floats[: len(block)], terms[: len(block)]
-        p[:] = block
-        np.divide(1.0, p, out=t)
-        recip = exact_sum(t, ends, scratch)
-        np.log(p, out=t)
-        logp = exact_sum(t, ends, scratch)
-        np.divide(t, p, out=t)
-        pieces = zip(ends, bounds, recip, exact_sum(t, ends, scratch), logp)
-        pi0 = pi
-        for e, b, *piece in pieces:
-            sums = [s + d for s, d in zip(sums, piece)]
-            pi = pi0 + e
-            yield from record(schedule[i:b])
-            i = b
+        while len(block):
+            # the thresholds below the block's last prime cut it, the others
+            # wait for the next block; past CUTS of them, the primes after
+            # the CUTS-th wait for the next pass over this block
+            below = int(schedule[i : i + CUTS + 1].searchsorted(block[-1]))
+            j = i + min(below, CUTS)
+            seen = block.searchsorted(schedule[i:j], side="right")
+            n = len(block) if below <= CUTS else int(seen[-1])
+            # one cut for all the thresholds that see the same primes, the
+            # last of them at i + last[k]; a cut at 0 sees none of the pass
+            last = np.flatnonzero(np.diff(seen, append=n))
+            ends = seen[last].tolist() + [n]
+            bounds = (last + (i + 1)).tolist() + [j]
+            # one float64 copy of the pass for the three ufuncs, one row of terms
+            p, t = floats[:n], terms[:n]
+            p[:] = block[:n]
+            np.divide(1.0, p, out=t)
+            recip = exact_sum(t, ends, scratch)
+            np.log(p, out=t)
+            logp = exact_sum(t, ends, scratch)
+            np.divide(t, p, out=t)
+            pieces = zip(ends, bounds, recip, exact_sum(t, ends, scratch), logp)
+            pi0 = pi
+            for e, b, *piece in pieces:
+                sums = [s + d for s, d in zip(sums, piece)]
+                pi = pi0 + e
+                yield from record(schedule[i:b])
+                i = b
+            block = block[n:]
         # a view that would keep its segment's primes through the next sieve
         del block
     yield from record(schedule[i:])

@@ -29,10 +29,10 @@ POW2_FIRST = 16
 # report lines for each threshold.
 MAX_CHECKPOINTS = 1 << 20
 # --workers is accepted so that existing command lines keep working.  It has
-# no effect until the process pool of ROADMAP item 1 lands.
+# no effect until the process pool of ROADMAP item 6 lands.
 MAX_WORKERS = 64
 WORKERS_HELP = (f"an integer in [1, {MAX_WORKERS}], accepted for existing "
-                "command lines; no effect until ROADMAP item 1 lands")
+                "command lines; no effect until ROADMAP item 6 lands")
 
 
 class UsageError(Exception):

@@ -7,6 +7,7 @@ bound) alone, up to the documented rounding allowance.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Sequence
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import accumulators, primes, special
-from .accumulators import SumCheckpoint, _round_once
+from .accumulators import CUTS, SumCheckpoint, _round_once
 from .constants import ConstantsBundle
 from .special import ROUNDING_ALLOWANCE
 
@@ -228,13 +229,16 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint],
     ks = all_p.searchsorted([cp.x for cp in series], side="right").tolist()
     # pi is a step function: the integral of pi(t)/t^2 over [2, x] is the
     # exact sum of the pieces j (1/p_j - 1/p_{j+1}), j < k = pi(x), and of
-    # k (1/p_k - 1/x).  heads[k] sums the first k - 1, one exact_sum per BLOCK.
+    # k (1/p_k - 1/x).  heads[k] sums the first k - 1, one exact_sum per CUTS.
     heads, total = {1: 0}, 0
-    scratch = accumulators.SumScratch(accumulators.BLOCK)
-    for lo in range(0, len(all_p) - 1, accumulators.BLOCK):
-        r = 1.0 / all_p[lo : lo + accumulators.BLOCK + 1]
+    cuts = sorted(set(ks))
+    scratch = accumulators.SumScratch(CUTS)
+    for lo in range(0, len(all_p) - 1, CUTS):
+        r = 1.0 / all_p[lo : lo + CUTS + 1]
         pieces = np.arange(lo + 1, lo + len(r)) * (r[:-1] - r[1:])
-        inside = sorted(k for k in set(ks) if lo + 1 < k <= lo + len(r))
+        # the k with lo + 1 < k <= lo + len(r)
+        inside = cuts[bisect.bisect_right(cuts, lo + 1)
+                      : bisect.bisect_right(cuts, lo + len(r))]
         ends = [k - 1 - lo for k in inside] + [len(pieces)]
         sums = accumulators.exact_sum(pieces, ends, scratch)
         _, *at_cuts, total = itertools.accumulate(sums, initial=total)
@@ -304,9 +308,11 @@ def check_grossehilfsatz2(G: int, rhos: list[float]) -> list[BoundReport]:
 def check_mertens_product(G: int, p: np.ndarray) -> BoundReport:
     if G < 3:
         raise ValueError(f"G must be >= 3, got {G}")
-    # np.log1p rounds 28 of the primes to 2^20 otherwise than math.log1p
-    terms = (-1.0 / _upto(p, G)).tolist()
-    log_product = -math.fsum(map(math.log1p, terms))
+    # np.log1p rounds 28 of the primes to 2^20 otherwise than math.log1p;
+    # fsum rounds once, so taking the terms CUTS at a time moves no bit
+    p = _upto(p, G)
+    terms = ((-1.0 / p[lo : lo + CUTS]).tolist() for lo in range(0, len(p), CUTS))
+    log_product = -math.fsum(map(math.log1p, itertools.chain.from_iterable(terms)))
     gamma = special.euler_gamma().value
     delta = log_product - gamma - math.log(math.log(G))
     bound = (

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mertens import accumulators, constants, primes, special, verifier
 from mertens.accumulators import (
     BLOCK,
+    CUTS,
     BudgetError,
     CheckpointFormatError,
     SumCheckpoint,
@@ -623,6 +624,56 @@ def test_a_stream_holds_one_segment_and_one_scratch(run):
     finally:
         tracemalloc.stop()
     assert peak < STREAM_PEAK_BOUND
+
+
+def test_the_abel_and_product_checks_take_CUTS_primes_at_a_time():
+    # beyond their inputs: one exact_sum over a BLOCK of Abel pieces, nearly
+    # one run a value, peaked at 4.44 MiB, and the product's 82,025 floats
+    # made at once at 3.13 MiB
+    p = primes.primes_up_to(2**20)
+    rows = list(accumulate(2**20, [2**k for k in range(16, 21)]))
+    for check in (lambda: verifier.check_abel_pi_identity(rows, p),
+                  lambda: verifier.check_mertens_product(2**20, p)):
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_a_threshold_at_every_integer_to_2_20_holds_CUTS_cuts_a_call(monkeypatch):
+    # the first block sees about 821,000 thresholds; in one call, its piece
+    # sums and its counts of primes seen peaked at 59.2 MiB
+    schedule = np.arange(1, 2**20 + 1)
+    most = [0]
+    real = accumulators.exact_sum
+
+    def spy(x, ends, scratch=None):
+        most[0] = max(most[0], len(ends))
+        return real(x, ends, scratch)
+
+    monkeypatch.setattr(accumulators, "exact_sum", spy)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in accumulate(2**20, schedule))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2**20
+    assert peak < 8 << 20
+    assert most[0] <= CUTS + 1
+
+
+@pytest.mark.parametrize("cuts", [1, 2, 7])
+def test_rows_do_not_depend_on_the_cuts_per_pass(monkeypatch, cuts):
+    # a cap of 1 or 2 also makes passes that end before the block's first
+    # prime, and sum none of it
+    schedule = range(1, 3000)
+    rows = list(accumulate(3000, schedule, segment_size=2**8))
+    monkeypatch.setattr(accumulators, "CUTS", cuts)
+    assert list(accumulate(3000, schedule, segment_size=2**8)) == rows
 
 
 @pytest.mark.parametrize("a, b", [

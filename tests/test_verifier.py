@@ -251,6 +251,15 @@ class TestMertensProduct:
         r = check_mertens_product(G, p20)
         assert r.passed and r.margin > 0
 
+    @pytest.mark.parametrize("G", [3, 10, 2**20])
+    def test_digits_are_one_fsum_of_math_log1p(self, G, p20):
+        # np.log1p rounds 28 of the primes to 2^20 otherwise than math.log1p,
+        # which moves the digits at G = 2^20
+        terms = (-1.0 / p20[: p20.searchsorted(G, side="right")]).tolist()
+        expected = (-math.fsum(map(math.log1p, terms))
+                    - special.euler_gamma().value - math.log(math.log(G)))
+        assert check_mertens_product(G, p20).observed == expected
+
 
 class TestErrorTable:
     def test_rows_and_reports(self, small_series, bundle):
