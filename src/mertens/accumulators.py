@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
+import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -28,6 +30,8 @@ _FIELDS = (
     "x", "pi", "recip_sum", "recip_comp",
     "logp_over_p", "logp_comp", "theta", "theta_comp",
 )
+# The six reals of a row, in file order.
+_reals = operator.attrgetter(*_FIELDS[2:])
 
 
 class BudgetError(ValueError):
@@ -57,8 +61,8 @@ CUTS = 1 << 12
 
 
 class SumScratch:
-    """Work arrays for ``exact_sum``, 17 bytes a value: the sign and
-    exponent bits (``key``), the mantissa bits (``mant``) and run bounds.
+    """Work arrays for ``exact_sum``, 3 bytes a value: the sign and exponent
+    bits (``key``, int16) and the run bounds.
 
     A stream makes one scratch and passes it to every call, so the arrays
     are allocated, and their pages touched, once and not per chunk.  They
@@ -72,8 +76,7 @@ class SumScratch:
     def fit(self, n: int) -> None:
         """Make room for ``n`` values."""
         if n > self.size:
-            self.key = np.empty(n, dtype=np.int64)
-            self.mant = np.empty(n, dtype=np.int64)
+            self.key = np.empty(n, dtype=np.int16)
             self.run = np.empty(n + 1, dtype=bool)
             self.size = n
 
@@ -92,18 +95,19 @@ def exact_sum(x: np.ndarray, ends, scratch: SumScratch | None = None) -> list[in
 
     Each value is read from its IEEE-754 bits: a sign, a biased exponent E
     and 52 mantissa bits m, worth ([E > 0] * 2^52 + m) * 2^(max(E, 1) - 1075).
-    The m are summed in int64 over runs of at most 2^9 values with one sign
-    and one E in one piece, so a signed run total T, implicit bits included,
-    has |T| < 2^9 * 2^53 = 2^62.  One sort groups the run totals by (piece,
-    max(E, 1)), and they are summed in two limbs, T = hi * 2^27 + lo: below
-    2^36 values, sum lo < 2^36 * 2^27 = 2^63 and sum |hi| <= n * 2^26 + runs
-    < 2^62 + 2^36.  The Python combine visits only the groups present, and
-    no array is as long as pieces times exponents.  Monotone input, such as
-    the terms of a prime sum, has a few runs a piece besides one per 2^9
-    values; any other order has up to one run per value and is as exact.
-    Every array as long as ``x`` comes from ``scratch`` (a fresh one if
-    None), and ``x`` is copied only if not a contiguous float64 array.
-    Raises ValueError on NaN, infinity, 2^36 values or more, or bad ends.
+    A run of at most 2^9 values with one sign and one E in one piece shares
+    its top 12 bits k, so its raw bits' uint64 total, mod 2^64, less size *
+    (k - [E > 0]) * 2^52 is exactly its total T = sum m + size * [E > 0] *
+    2^52 < 2^62.  One sort groups the signed run totals by (piece, max(E,
+    1)), and they are summed in two limbs, T = hi * 2^27 + lo: below 2^36
+    values, sum lo < 2^36 * 2^27 = 2^63 and sum |hi| <= n * 2^26 + runs <
+    2^62 + 2^36.  The Python combine visits only the groups present, and no
+    array is as long as pieces times exponents.  Monotone input, such as the
+    terms of a prime sum, has a few runs a piece besides one per 2^9 values;
+    any other order has up to one run per value and is as exact.  Every
+    array as long as ``x`` comes from ``scratch`` (a fresh one if None), and
+    ``x`` is copied only if not a contiguous float64 array.  Raises
+    ValueError on NaN, infinity, 2^36 values or more, or bad ends.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.size >= 1 << 36:
@@ -118,31 +122,31 @@ def exact_sum(x: np.ndarray, ends, scratch: SumScratch | None = None) -> list[in
         if scratch is None:
             scratch = SumScratch()
         scratch.fit(n)
-        key, mant, run = scratch.key[:n], scratch.mant[:n], scratch.run[: n + 1]
-        bits = x[:n].view(np.int64)
-        # the sign and E: negative exactly when the sign bit is set
-        np.right_shift(bits, 52, out=key)
+        key, run = scratch.key[:n], scratch.run[: n + 1]
+        bits = x[:n].view(np.uint64)
+        # the sign and E, negative exactly when the sign bit is set; the cast
+        # to int16 is buffered, so it makes no temporary as long as x
+        np.right_shift(bits.view(np.int64), 52, out=key, casting="unsafe")
         # a run starts where the key changes, at each cut and at every
         # 2^9-th value, so no run spans two pieces; the last ends at n
         np.not_equal(key[1:], key[:-1], out=run[1:n])
         run[cuts] = True
         run[:: 1 << 9] = True
         bounds = np.flatnonzero(run)
-        starts = bounds[:-1]
-        np.bitwise_and(bits, (1 << 52) - 1, out=mant)
-        total = np.add.reduceat(mant, starts)
+        starts, size = bounds[:-1], np.diff(bounds)
         # every value shares its run's key, so the run keys cover them all
-        e = key[starts] & 0x7FF
-        if (e == 0x7FF).any():
+        k = key[starts].astype(np.int64)
+        e = k & 0x7FF
+        if e.max() == 0x7FF:
             raise ValueError("exact_sum needs finite values")
-        total += ((bounds[1:] - starts) << 52) * (e > 0)
-        np.negative(total, out=total, where=key[starts] < 0)
-        # sort the runs by (piece, exponent) into the spent scratch, so that
-        # the groups, and the work and memory they take, follow the runs
+        total = (np.add.reduceat(bits, starts) - size.view(np.uint64)
+                 * ((k - np.minimum(e, 1)).view(np.uint64) << 52)).view(np.int64)
+        np.negative(total, out=total, where=k < 0)
+        # sort the runs by (piece, exponent), so that the groups, and the
+        # work and memory they take, follow the runs
         key = cuts.searchsorted(starts, side="right") << 11 | np.maximum(e, 1)
         order = key.argsort()
-        key = np.take(key, order, out=scratch.key[: len(order)])
-        total = np.take(total, order, out=mant[: len(order)])
+        key, total = key[order], total[order]
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         lo = np.add.reduceat(total & ((1 << 27) - 1), first)
         hi = np.add.reduceat(total >> 27, first)
@@ -360,6 +364,18 @@ def open_atomic(path):
             os.remove(tmp)
 
 
+def with_text(rows: Iterable[SumCheckpoint], fmt) -> Iterator[tuple]:
+    """Yield each row with ``fmt(row)``, which is called again only when pi
+    or a real differs, bit for bit, from the row before: most rows of a
+    dense schedule repeat the sums of the row before."""
+    key = text = None
+    for c in rows:
+        now = (c.pi, struct.pack("6d", *_reals(c)))
+        if now != key:
+            key, text = now, fmt(c)
+        yield c, text
+
+
 def write_checkpoints(rows: Iterable[SumCheckpoint], path) -> int:
     """Write ``rows`` to a checkpoint file at ``path``, each as it arrives,
     and return how many there were.  ``path`` is replaced only once the
@@ -368,10 +384,9 @@ def write_checkpoints(rows: Iterable[SumCheckpoint], path) -> int:
     n = 0
     with open_atomic(path) as fh:
         fh.write(FILE_HEADER + "\n")
-        for n, c in enumerate(rows, 1):
-            reals = (c.recip_sum, c.recip_comp, c.logp_over_p, c.logp_comp,
-                     c.theta, c.theta_comp)
-            fh.write(",".join([str(c.x), str(c.pi), *map(_fmt, reals)]) + "\n")
+        rows = with_text(rows, lambda c: ",".join([str(c.pi), *map(_fmt, _reals(c))]))
+        for n, (c, text) in enumerate(rows, 1):
+            fh.write(f"{c.x},{text}\n")
     return n
 
 

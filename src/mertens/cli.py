@@ -126,11 +126,12 @@ def _out_path(path: str) -> str:
 
 def _printed(rows):
     """Yield ``rows``, printing each one as it passes."""
-    for cp in rows:
-        print(
-            f"x={cp.x} pi={cp.pi} recip={_fmt(cp.recip)} "
-            f"logp_over_p={_fmt(cp.logp)} theta={_fmt(cp.theta_value)}"
-        )
+    def fields(cp):
+        return (f"pi={cp.pi} recip={_fmt(cp.recip)} "
+                f"logp_over_p={_fmt(cp.logp)} theta={_fmt(cp.theta_value)}")
+
+    for cp, text in accumulators.with_text(rows, fields):
+        print(f"x={cp.x} {text}")
         yield cp
 
 

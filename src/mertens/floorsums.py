@@ -45,6 +45,10 @@ SLACK = 1 + 2.0**-20
 # some ten temporaries of its length; at 2^16 they raised the peak RSS of
 # the oracle at 10^8 by 1.3 MB, and 2^12 is no slower at 10^8 or 2^34.
 PAIRS = 1 << 12
+# The most terms of the starts' prefix that one block divides in int64.  In
+# one block of 2^17 terms, the oracle at 2^34 peaked 1.9 MB higher in RSS
+# than with Python ints; in blocks of 2^14 it peaks 0.75 MB lower.
+TERMS = 1 << 14
 
 
 def _primes_to(r: int) -> np.ndarray:
@@ -70,14 +74,49 @@ def _tail(s: int, N):
     return q * (N / (s - 1) + 0.5 + s / 12 * y)
 
 
+def _divide(q, rem, d, bits: int):
+    """q * 2^bits + (rem * 2^bits) // d and (rem * 2^bits) % d, for int64
+    arrays 0 <= rem < d < 2^61, in steps of k bits with rem * 2^k < 2^62."""
+    k = 62 - int(d.max(initial=1)).bit_length()
+    while bits > 0:
+        b = min(k, bits)
+        t, rem = np.divmod(rem << b, d)
+        q, bits = (q << b) + t, bits - b
+    return q, rem
+
+
+def _prefix(s: int, L: int, F: int) -> np.ndarray:
+    """The exact prefix sums sum_{2 <= n <= v} floor(2^(F + 32) / n^s), cut
+    to int64 by >> 32, at v = 0..L, for s >= 2 and F = 60 + s.  When at
+    least 1024 terms have n^s <= 2^60, they are divided in int64, TERMS at
+    a time, as hi * 2^32 + lo, lo < 2^32: after an exact total T = th * 2^32
+    + tl, tl < 2^32, the prefix is th + cumsum(hi) + ((tl + cumsum(lo)) >>
+    32), below 3 * 2^60.  Fewer terms are faster as Python ints, and the
+    terms past them need Python ints."""
+    m = min(L, int(2.0 ** (60 / s)))
+    m = m if m >= 1024 else 1
+    blocks, total = [], 0
+    for a in range(2, m + 1, TERMS):
+        d = np.arange(a, min(a + TERMS, m + 1), dtype=np.int64) ** s
+        hi, rem = _divide(*np.divmod(1 << 62, d), d, F - 62)
+        th, tl = divmod(total, 1 << 32)
+        hi = np.cumsum(hi) + th
+        lo = np.cumsum(_divide(np.zeros_like(d), rem, d, 32)[0]) + tl
+        blocks.append(hi + (lo >> 32))
+        total = (int(hi[-1]) << 32) + int(lo[-1])
+    terms = ((1 << F + 32) // n**s for n in range(m + 1, L + 1))
+    rest = [t >> 32 for t in itertools.accumulate(terms, initial=total)][1:]
+    if not blocks:  # a small start: one array from one list is fastest
+        return np.array([0, 0, *rest], dtype=np.int64)
+    return np.concatenate([[0, 0], *blocks, np.array(rest, dtype=np.int64)])
+
+
 def _start(s: int, x: int, r: int, V: np.ndarray, F: int):
     """S(v) at v = 0..r and at v = V, in units of 2^-F, and their bound."""
     if s == 0:
         return np.maximum(np.arange(-1, r), 0), V - 1, 0.0
     L = min(x, max(r, 1024))
-    terms = ((1 << F + 32) // n**s for n in range(2, L + 1))
-    table = np.array([0, 0, *(t >> 32 for t in itertools.accumulate(terms))],
-                     dtype=np.int64)
+    table = _prefix(s, L, F)
     large = table[np.minimum(V, L)]
     eps = 2.0
     far = V > L

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -212,6 +213,17 @@ class TestCheckpointFile:
         for v in vals:
             assert float(f"{v:.16E}") == v
 
+    def test_a_row_is_formatted_again_when_a_zero_changes_sign(self):
+        # -0.0 == 0.0, but the two print differently
+        a = SumCheckpoint(3, 1, 0.5, 0.0, 0.5, 0.0, 1.0, 0.0)
+        rows = [a, dataclasses.replace(a, x=4), dataclasses.replace(a, x=5, logp_comp=-0.0),
+                dataclasses.replace(a, x=6, logp_comp=-0.0), dataclasses.replace(a, x=7, pi=2)]
+        texts = list(accumulators.with_text(rows, lambda c: f"{c.pi} {c.logp_comp}"))
+        assert [c for c, _ in texts] == rows
+        assert [t for _, t in texts] == ["1 0.0", "1 0.0", "1 -0.0", "1 -0.0", "2 0.0"]
+        # the text of a repeated row is the same object, not a new string
+        assert texts[0][1] is texts[1][1]
+
     def test_file_round_trip_bit_exact(self, tmp_path):
         series = list(accumulate(2**16, [2**10, 2**16]))
         path = tmp_path / "cp.csv"
@@ -273,6 +285,7 @@ subnormal = st.floats(min_value=-2.2250738585072014e-308,
                       max_value=2.2250738585072014e-308)
 wide = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023))
 zero = st.sampled_from([0.0, -0.0])
+MAX = float(np.finfo(np.float64).max)
 
 
 def _exact(x, scratch=None):
@@ -393,16 +406,46 @@ class TestExactSum:
             exact_sum(np.ones(3), ends)
 
     @pytest.mark.parametrize("count", [2**9 - 1, 2**9, 2**9 + 1, 3 * 2**9 + 5])
-    @pytest.mark.parametrize("v", [2 - 2**-52, -(2 - 2**-52)])
+    @pytest.mark.parametrize("v", [2 - 2**-52, -(2 - 2**-52), MAX, -MAX])
     def test_runs_of_the_largest_mantissa_across_2_9_edges(self, count, v):
         # every mantissa bit set, so each run of at most 2^9 values sums to
-        # its largest total; cuts fall next to the first 2^9 edge
+        # its largest total, at E = 0x3FF and at E = 0x7FE, the largest
+        # float; cuts fall next to the first 2^9 edge
         x = np.full(count, v)
         assert _exact(x) == count * Fraction(v)
         ends = sorted(min(c, count) for c in (2**9 - 1, 2**9, 2**9 + 1, count))
         want = [(b - a) * Fraction(v) for a, b in zip([0] + ends, ends)]
         got = exact_sum(x, ends, SumScratch())
         assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
+
+    @pytest.mark.parametrize("E", [0, 1, 0x7FE])
+    def test_runs_of_every_length_up_to_2_9(self, E):
+        # a run of each length 1..2^9 at one E, signs alternating so that no
+        # two runs share a key; half the runs have every mantissa bit set,
+        # where the run's uint64 total of raw bits wraps most often, and at
+        # E = 0 some are +0.0 or -0.0
+        rnd = np.random.default_rng(E)
+        sizes = np.arange(1, 2**9 + 1)
+        sign = np.repeat(sizes % 2, sizes).astype(np.uint64) << np.uint64(63)
+        m = rnd.integers(0, 2**52, sizes.sum(), dtype=np.uint64)
+        m[np.repeat(sizes % 4 < 2, sizes)] = 2**52 - 1
+        m[np.repeat(sizes % 8 == 2, sizes)] = 0
+        x = (sign | np.uint64(E) << np.uint64(52) | m).view(np.float64)
+        prefix = [0, *itertools.accumulate(map(Fraction, x.tolist()))]
+        edges = np.cumsum(sizes).tolist()
+        # no cuts but the end; a cut on every run edge; a cut on every
+        # 2^9-th value, and every 2^9-th value plus one
+        for ends in ([len(x)], edges, list(range(2**9, len(x), 2**9)) + [len(x)],
+                     list(range(2**9 + 1, len(x), 2**9))):
+            want = [prefix[b] - prefix[a] for a, b in zip([0] + ends, ends)]
+            got = exact_sum(x, ends, SumScratch())
+            assert [Fraction(t, 1 << UNIT_BITS) for t in got] == want
+
+    def test_a_scratch_holds_3_bytes_a_value(self):
+        for n in (0, 1, 100, BLOCK):
+            scratch = SumScratch(n)
+            arrays = [a for a in vars(scratch).values() if isinstance(a, np.ndarray)]
+            assert sum(a.nbytes for a in arrays) <= 3 * n + 1
 
     def test_long_runs_of_zeros_and_subnormals_next_to_normals(self):
         tiny = 2.0**-1074

@@ -535,3 +535,32 @@ def test_only_main_freezes_the_import_heap():
     imported, frozen, code = json.loads(done.stderr.splitlines()[-1])
     assert (imported, code) == (0, EXIT_OK) and frozen > 0
     assert "gamma" in json.loads(done.stdout)
+
+
+def test_a_dense_schedule_formats_each_distinct_row_once(tmp_path, monkeypatch, capsys):
+    # 3000 thresholds see 431 sets of sums: pi = 0 and one per prime
+    path = tmp_path / "cp.csv"
+    rows = list(accumulators.accumulate(3000, range(1, 3001)))
+    calls = {"file": 0, "stdout": 0}
+
+    def counted(where, real):
+        def fmt(v):
+            calls[where] += 1
+            return real(v)
+        return fmt
+
+    monkeypatch.setattr(accumulators, "_fmt", counted("file", accumulators._fmt))
+    monkeypatch.setattr(cli, "_fmt", counted("stdout", cli._fmt))
+    assert main(["sums", "--max", "3000", "--schedule", "1..3000:1",
+                 "--checkpoints", str(path)]) == EXIT_OK
+    assert calls == {"file": 6 * 431, "stdout": 3 * 431}
+    monkeypatch.undo()
+    f = accumulators._fmt
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [
+        ",".join([str(c.x), str(c.pi), *map(f, (
+            c.recip_sum, c.recip_comp, c.logp_over_p, c.logp_comp, c.theta, c.theta_comp))])
+        for c in rows]
+    out = capsys.readouterr().out.splitlines()
+    assert out[:-1] == [f"x={c.x} pi={c.pi} recip={f(c.recip)} logp_over_p={f(c.logp)} "
+                        f"theta={f(c.theta_value)}" for c in rows]

@@ -135,3 +135,23 @@ def test_the_pairs_come_in_blocks_of_at_most_PAIRS():
     expected = [(a, b) for a in range(m[0]) for b in range(len(m)) if a < m[b]]
     assert list(zip(i.tolist(), k.tolist())) == expected
     assert list(floorsums._pairs(m[:0])) == []
+
+
+def _python_prefix(s, L, F):
+    """The starts' exact prefix as Python ints: the reference for _prefix."""
+    terms = ((1 << F + 32) // n**s for n in range(2, L + 1))
+    return [0, 0, *(t >> 32 for t in itertools.accumulate(terms))]
+
+
+# Divided in int64: 2^17, as x = 2^34 needs, and 1024 at s = 3, 4 and 5, as
+# H_direct needs; in int64 and past 2^60 in Python ints: at s = 4 and 5;
+# n^6 reaches 2^60 at n = 1024 = L; fewer than 1024 terms: in Python ints.
+@pytest.mark.parametrize("s, L", [
+    (2, 10**4), (2, 2**17), (3, 1024), (4, 1024), (5, 1024), (4, 2**15 + 3),
+    (5, 5000), (6, 1024), (6, 1000), (7, 372), (20, 7), (59, 2), (2, 1),
+])
+def test_the_start_prefix_equals_the_python_ints(s, L):
+    F = 60 + s
+    table = floorsums._prefix(s, L, F)
+    assert table.dtype == np.int64
+    assert table.tolist() == _python_prefix(s, L, F)

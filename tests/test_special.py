@@ -1,3 +1,4 @@
+import decimal
 import functools
 import math
 
@@ -289,3 +290,21 @@ class TestLogWeightedTail:
 def test_sum_log_over_n_squared():
     v = sum_log_over_n_squared()
     assert v.value == pytest.approx(0.9375482543, abs=1e-9)
+
+
+def test_np_log_and_math_log_are_within_1_ulp():
+    # The package's one libm assumption: np.log and math.log return ln v
+    # within 1 ulp.  The checkpoint terms ln p and ln p / p, and the checks
+    # that read them, rely on it; so does the sieve-free route to sum ln p / p.
+    # Tested on every prime <= 2^20 and on 2^k +- 1, k <= 40, against
+    # 40-digit Decimal.ln; the worst errors read about 0.5 ulp.
+    ctx = decimal.Context(prec=40)
+    ks = range(1, 41)
+    v = sorted({*primes.primes_up_to(2**20).tolist(), *(2**k + 1 for k in ks),
+                *(2**k - 1 for k in ks if k > 1)})
+    exact = [ctx.ln(n) for n in v]
+    for name, logs in (("np.log", np.log(np.array(v, dtype=np.float64)).tolist()),
+                       ("math.log", [math.log(n) for n in v])):
+        worst = max(abs(ctx.subtract(decimal.Decimal(y), ln)) / decimal.Decimal(math.ulp(y))
+                    for y, ln in zip(logs, exact))
+        assert worst < 1, (name, worst)
