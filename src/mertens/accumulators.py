@@ -60,34 +60,13 @@ BLOCK = 1 << 16
 CUTS = 1 << 12
 
 
-class SumScratch:
-    """Work arrays for ``exact_sum``, 3 bytes a value: the sign and exponent
-    bits (``key``, int16) and the run bounds.
-
-    A stream makes one scratch and passes it to every call, so the arrays
-    are allocated, and their pages touched, once and not per chunk.  They
-    grow to the largest input seen.
-    """
-
-    def __init__(self, size: int = 0):
-        self.size = -1
-        self.fit(size)
-
-    def fit(self, n: int) -> None:
-        """Make room for ``n`` values."""
-        if n > self.size:
-            self.key = np.empty(n, dtype=np.int16)
-            self.run = np.empty(n + 1, dtype=bool)
-            self.size = n
-
-
 # Every float64 is an integer multiple of 2^-1074, so the package keeps an
 # exact sum of float64 values as a Python int counting that unit: adding
 # two such sums needs no gcd, unlike adding rationals.
 UNIT_BITS = 1074
 
 
-def exact_sum(x: np.ndarray, ends, scratch: SumScratch | None = None) -> list[int]:
+def exact_sum(x: np.ndarray, ends) -> list[int]:
     """The exact sum of each piece x[e_{i-1}:e_i] (e_0 = 0) of a float64
     array, in one call, as a list of ints counting 2^-UNIT_BITS.  ``ends``
     is a non-decreasing sequence of piece ends in [0, len(x)]; an empty
@@ -104,8 +83,8 @@ def exact_sum(x: np.ndarray, ends, scratch: SumScratch | None = None) -> list[in
     2^62 + 2^36.  The Python combine visits only the groups present, and no
     array is as long as pieces times exponents.  Monotone input, such as the
     terms of a prime sum, has a few runs a piece besides one per 2^9 values;
-    any other order has up to one run per value and is as exact.  Every
-    array as long as ``x`` comes from ``scratch`` (a fresh one if None), and
+    any other order has up to one run per value and is as exact.  A call
+    takes 3 bytes a value, the int16 ``key`` and the bool ``run`` mask, and
     ``x`` is copied only if not a contiguous float64 array.  Raises
     ValueError on NaN, infinity, 2^36 values or more, or bad ends.
     """
@@ -119,10 +98,7 @@ def exact_sum(x: np.ndarray, ends, scratch: SumScratch | None = None) -> list[in
     n = int(cuts[-1]) if cuts.size else 0
     sums = [0] * cuts.size
     if n:
-        if scratch is None:
-            scratch = SumScratch()
-        scratch.fit(n)
-        key, run = scratch.key[:n], scratch.run[: n + 1]
+        key, run = np.empty(n, dtype=np.int16), np.empty(n + 1, dtype=bool)
         bits = x[:n].view(np.uint64)
         # the sign and E, negative exactly when the sign bit is set; the cast
         # to int16 is buffered, so it makes no temporary as long as x
@@ -273,7 +249,6 @@ def accumulate(
         start = cp.x + 1
         i = int(schedule.searchsorted(cp.x, side="right"))
 
-    scratch = SumScratch(BLOCK)
     floats, terms = np.empty((2, BLOCK), dtype=np.float64)
 
     def record(xs):
@@ -299,11 +274,11 @@ def accumulate(
             p, t = floats[:n], terms[:n]
             p[:] = block[:n]
             np.divide(1.0, p, out=t)
-            recip = exact_sum(t, ends, scratch)
+            recip = exact_sum(t, ends)
             np.log(p, out=t)
-            logp = exact_sum(t, ends, scratch)
+            logp = exact_sum(t, ends)
             np.divide(t, p, out=t)
-            pieces = zip(ends, bounds, recip, exact_sum(t, ends, scratch), logp)
+            pieces = zip(ends, bounds, recip, exact_sum(t, ends), logp)
             pi0 = pi
             for e, b, *piece in pieces:
                 sums = [s + d for s, d in zip(sums, piece)]
@@ -319,12 +294,11 @@ def accumulate(
 def range_sum(f, a: int, b: int) -> float:
     """The exact sum of f(n) over the integers a <= n <= b, rounded once.
     ``f`` maps float64 arrays of at most BLOCK consecutive integers to their
-    terms, summed through one scratch, so memory does not grow with b - a."""
+    terms; a call takes 3 bytes a value, so memory does not grow with b - a."""
     total = 0
-    scratch = SumScratch(BLOCK)
     for lo in range(a, b + 1, BLOCK):
         n = np.arange(lo, min(lo + BLOCK, b + 1), dtype=np.float64)
-        total += exact_sum(f(n), [len(n)], scratch)[0]
+        total += exact_sum(f(n), [len(n)])[0]
     return _round_once(total)
 
 

@@ -232,7 +232,6 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint],
     # k (1/p_k - 1/x).  heads[k] sums the first k - 1, one exact_sum per CUTS.
     heads, total = {1: 0}, 0
     cuts = sorted(set(ks))
-    scratch = accumulators.SumScratch(CUTS)
     for lo in range(0, len(all_p) - 1, CUTS):
         r = 1.0 / all_p[lo : lo + CUTS + 1]
         pieces = np.arange(lo + 1, lo + len(r)) * (r[:-1] - r[1:])
@@ -240,7 +239,7 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint],
         inside = cuts[bisect.bisect_right(cuts, lo + 1)
                       : bisect.bisect_right(cuts, lo + len(r))]
         ends = [k - 1 - lo for k in inside] + [len(pieces)]
-        sums = accumulators.exact_sum(pieces, ends, scratch)
+        sums = accumulators.exact_sum(pieces, ends)
         _, *at_cuts, total = itertools.accumulate(sums, initial=total)
         heads.update(zip(inside, at_cuts))
     reports = []
@@ -402,13 +401,14 @@ def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     x_max = max((cp.x for cp in series), default=0)
     abel_series = [cp for cp in series if cp.x <= 2**20]
-    # where each check that needs primes runs; one sieve reaches them all
+    # where each check that needs primes runs, each x once (x_max may be a
+    # fixed point); one sieve reaches them all
     at = {
-        "chi": (4, 100, 10**4, min(10**6, max(4, x_max))),
+        "chi": dict.fromkeys((4, 100, 10**4, min(10**6, max(4, x_max)))),
         "legendre": (10, 100, 10**4),
         "abel": [cp.x for cp in abel_series],
         "remainder": (3, 10, 100, 10**4),
-        "product": (3, 10, min(2**20, max(3, x_max))),
+        "product": dict.fromkeys((3, 10, min(2**20, max(3, x_max)))),
     }
     limit = max((x for name in want & at.keys() for x in at[name]), default=0)
     p = primes.primes_up_to(limit) if limit else np.empty(0, dtype=np.int64)

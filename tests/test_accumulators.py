@@ -20,7 +20,6 @@ from mertens.accumulators import (
     CheckpointFormatError,
     SumCheckpoint,
     UNIT_BITS,
-    SumScratch,
     accumulate,
     exact_sum,
     load_checkpoints,
@@ -288,9 +287,9 @@ zero = st.sampled_from([0.0, -0.0])
 MAX = float(np.finfo(np.float64).max)
 
 
-def _exact(x, scratch=None):
+def _exact(x):
     """The exact sum of ``x`` as one piece, a Fraction."""
-    return Fraction(exact_sum(x, [len(x)], scratch)[0], 1 << UNIT_BITS)
+    return Fraction(exact_sum(x, [len(x)])[0], 1 << UNIT_BITS)
 
 
 class TestExactSum:
@@ -340,22 +339,23 @@ class TestExactSum:
     ))
     @settings(max_examples=200, deadline=None)
     def test_one_scratch_for_a_sequence_of_arrays(self, arrays):
-        # a scratch that grows as the lengths rise, and one that never has
-        # to: neither may let the values of one call leak into the next
-        for scratch in (SumScratch(), SumScratch(60)):
+        # each call takes its work arrays from np.empty, which may hand back
+        # the memory of the call before: no value of one call may leak into
+        # the next, as the lengths rise or fall
+        for _ in range(2):
             for vals in arrays:
                 x = np.array(vals, dtype=np.float64)
-                assert _exact(x, scratch) == sum(map(Fraction, vals), Fraction(0))
+                assert _exact(x) == sum(map(Fraction, vals), Fraction(0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_with_a_used_scratch(self, bad):
-        scratch = SumScratch()
+        # each call's np.empty work arrays may reuse the memory of the last
         x = np.array([2.0**-1074, -0.0, 3.5, 1e300])
-        assert _exact(x, scratch) == sum(map(Fraction, x.tolist()))
+        assert _exact(x) == sum(map(Fraction, x.tolist()))
         with pytest.raises(ValueError):
-            _exact(np.array([1.0, bad]), scratch)
+            _exact(np.array([1.0, bad]))
         # the finite values of the rejected call leave no trace behind
-        assert _exact(x[1:3], scratch) == Fraction(3.5)
+        assert _exact(x[1:3]) == Fraction(3.5)
 
 
     @given(
@@ -367,7 +367,6 @@ class TestExactSum:
     def test_each_piece_matches_fraction_oracle(self, vals, rnd, data):
         n = len(vals)
         cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8)))
-        scratch = SumScratch()
         rnd.shuffle(vals)
         for order in (vals, sorted(vals)):
             x = np.array(order, dtype=np.float64)
@@ -376,7 +375,7 @@ class TestExactSum:
             for ends in (cuts, cuts + [n], [1, n - 1, n] if n >= 2 else [n]):
                 want = [sum(map(Fraction, order[a:b]), Fraction(0))
                         for a, b in zip([0] + ends, ends)]
-                got = exact_sum(x, ends, scratch)
+                got = exact_sum(x, ends)
                 assert [Fraction(v, 1 << UNIT_BITS) for v in got] == want
 
     def test_many_pieces_over_wide_exponents_take_memory_by_the_runs(self):
@@ -385,10 +384,9 @@ class TestExactSum:
         rnd = np.random.default_rng(7)
         x = np.ldexp(rnd.uniform(0.5, 1.0, 4000), rnd.integers(-1000, 1000, 4000))
         ends = list(range(1, 4001))
-        scratch = SumScratch(4000)
         tracemalloc.start()
         try:
-            got = exact_sum(x, ends, scratch)
+            got = exact_sum(x, ends)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,7 +396,7 @@ class TestExactSum:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_pieces_reject_non_finite(self, bad):
         with pytest.raises(ValueError):
-            exact_sum(np.array([1.0, 2.0, bad, 2.0]), [1, 3, 4], SumScratch())
+            exact_sum(np.array([1.0, 2.0, bad, 2.0]), [1, 3, 4])
 
     @pytest.mark.parametrize("ends", [[2, 1], [-1, 3], [1, 4]])
     def test_pieces_reject_ends_out_of_order_or_range(self, ends):
@@ -415,7 +413,7 @@ class TestExactSum:
         assert _exact(x) == count * Fraction(v)
         ends = sorted(min(c, count) for c in (2**9 - 1, 2**9, 2**9 + 1, count))
         want = [(b - a) * Fraction(v) for a, b in zip([0] + ends, ends)]
-        got = exact_sum(x, ends, SumScratch())
+        got = exact_sum(x, ends)
         assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
 
     @pytest.mark.parametrize("E", [0, 1, 0x7FE])
@@ -438,14 +436,8 @@ class TestExactSum:
         for ends in ([len(x)], edges, list(range(2**9, len(x), 2**9)) + [len(x)],
                      list(range(2**9 + 1, len(x), 2**9))):
             want = [prefix[b] - prefix[a] for a, b in zip([0] + ends, ends)]
-            got = exact_sum(x, ends, SumScratch())
+            got = exact_sum(x, ends)
             assert [Fraction(t, 1 << UNIT_BITS) for t in got] == want
-
-    def test_a_scratch_holds_3_bytes_a_value(self):
-        for n in (0, 1, 100, BLOCK):
-            scratch = SumScratch(n)
-            arrays = [a for a in vars(scratch).values() if isinstance(a, np.ndarray)]
-            assert sum(a.nbytes for a in arrays) <= 3 * n + 1
 
     def test_long_runs_of_zeros_and_subnormals_next_to_normals(self):
         tiny = 2.0**-1074
@@ -462,43 +454,44 @@ class TestExactSum:
         ends = [512, 600, 1300, 1302, 2403, 2933, 3449, len(x)]
         want = [sum(map(Fraction, vals[a:b]), Fraction(0))
                 for a, b in zip([0] + ends, ends)]
-        got = exact_sum(x, ends, SumScratch())
+        got = exact_sum(x, ends)
         assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
 
     def test_strided_reversed_int64_and_float32_input(self):
         rnd = np.random.default_rng(3)
         x = np.ldexp(rnd.uniform(-1, 1, 3000), rnd.integers(-60, 60, 3000))
         before = x.copy()
-        scratch = SumScratch()
         for view in (x[::3], x[::-1]):
             vals = view.tolist()
-            assert _exact(view, scratch) == sum(map(Fraction, vals), Fraction(0))
+            assert _exact(view) == sum(map(Fraction, vals), Fraction(0))
             ends = [5, 700, len(vals)]
             want = [sum(map(Fraction, vals[a:b]), Fraction(0))
                     for a, b in zip([0] + ends, ends)]
-            got = exact_sum(view, ends, scratch)
+            got = exact_sum(view, ends)
             assert [Fraction(s, 1 << UNIT_BITS) for s in got] == want
         assert np.array_equal(x, before)
         # integers below 2^53 and float32 values are float64 values too
         ints = rnd.integers(-2**52, 2**52, 2000)
-        assert _exact(ints, scratch) == sum(ints.tolist())
+        assert _exact(ints) == sum(ints.tolist())
         f32 = x.astype(np.float32)
-        assert _exact(f32, scratch) == sum(map(Fraction, f32.tolist()), Fraction(0))
+        assert _exact(f32) == sum(map(Fraction, f32.tolist()), Fraction(0))
 
     def test_a_block_of_prime_terms_is_summed_in_place(self):
-        # with a fitted scratch, one call on a contiguous float64 block
-        # copies nothing as long as the block: a copy would take 512 KiB
+        # one call on a contiguous float64 block takes 3 bytes a value, its
+        # int16 key and its run mask, and copies nothing as long as the
+        # block: a 512 KiB copy, an int64 key or 17 bytes a value would each
+        # exceed the bound.  Nothing of the call stays behind.
         p = primes.primes_up_to(2**22)[-BLOCK:].astype(np.float64)
         terms = 1.0 / p
-        scratch = SumScratch(BLOCK)
-        exact_sum(terms, [BLOCK], scratch)
+        exact_sum(terms, [BLOCK])
         tracemalloc.start()
         try:
-            got = exact_sum(terms, [BLOCK], scratch)
-            peak = tracemalloc.get_traced_memory()[1]
+            got = exact_sum(terms, [BLOCK])
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 128 << 10
+        assert peak < 3 * BLOCK + (96 << 10)
+        assert held < 1 << 10
         assert Fraction(got[0], 1 << UNIT_BITS) == _exact_prefix_sums(terms, [BLOCK])[0]
 
 
@@ -592,7 +585,8 @@ def test_thresholds_on_the_kernel_run_edges_of_a_full_block():
 
 
 # Fixed whatever the limit: one segment bitmap and its primes, about
-# 2 MiB at the default segment size, plus one block of scratch, about 3 MiB.
+# 2 MiB at the default segment size, plus one block's row of terms and a
+# kernel call's 3 bytes a value, about 3 MiB.
 STREAM_PEAK_BOUND = 8 << 20
 
 
@@ -631,8 +625,8 @@ def test_loading_a_file_holds_one_row(tmp_path):
 
 
 def test_a_stream_frees_each_segment_before_it_sieves_the_next():
-    # past the first row, a stream holds its scratch and its row of terms
-    # (about 2 MiB), and one segment at a time: the bitmap (1 MiB), then
+    # past the first row, a stream holds its rows of floats and terms and a
+    # kernel call's work arrays (about 1.2 MiB), and one segment at a time: the bitmap (1 MiB), then
     # its primes.  Keeping the last segment's primes, or the last block
     # (a view of them), while the next is sieved peaked at 5.7 MiB.
     rows = accumulate(2**25, [2**22, 2**25])
@@ -693,9 +687,9 @@ def test_a_threshold_at_every_integer_to_2_20_holds_CUTS_cuts_a_call(monkeypatch
     most = [0]
     real = accumulators.exact_sum
 
-    def spy(x, ends, scratch=None):
+    def spy(x, ends):
         most[0] = max(most[0], len(ends))
-        return real(x, ends, scratch)
+        return real(x, ends)
 
     monkeypatch.setattr(accumulators, "exact_sum", spy)
     tracemalloc.start()

@@ -298,6 +298,14 @@ class TestSuite:
         assert {r.name for r in reports} == {"grossehilfsatz1"}
         assert rows == []
 
+    @pytest.mark.parametrize("x_max", [2, 10, 100, 10**4, 2**20])
+    def test_no_check_runs_twice(self, bundle, x_max):
+        # the chi and product points at x_max may equal a fixed point
+        series = list(accumulators.accumulate(x_max, [x_max]))
+        reports, _ = verifier.run_suite(series, bundle)
+        keys = [(r.name, repr(r.params)) for r in reports]
+        assert len(keys) == len(set(keys))
+
     def test_unknown_check_rejected(self, small_series, bundle):
         with pytest.raises(ValueError):
             verifier.run_suite(small_series, bundle, only=["nope"])
