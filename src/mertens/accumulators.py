@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import os
 import struct
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +25,6 @@ from . import primes
 MAX_DEFAULT_LIMIT = 1 << 34
 
 FILE_HEADER = "mertens-checkpoints v1"
-_FIELDS = (
-    "x", "pi", "recip_sum", "recip_comp",
-    "logp_over_p", "logp_comp", "theta", "theta_comp",
-)
-# The six reals of a row, in file order.
-_reals = operator.attrgetter(*_FIELDS[2:])
 
 
 class BudgetError(ValueError):
@@ -149,8 +142,7 @@ def _split(total: int) -> tuple[float, float]:
     return head, _round_once(total - _units(head))
 
 
-@dataclass(frozen=True)
-class SumCheckpoint:
+class SumCheckpoint(NamedTuple):
     """All four running prime sums at threshold x.
 
     Each real-valued sum is two floats: ``*_sum`` is the exact sum of the
@@ -166,18 +158,6 @@ class SumCheckpoint:
     logp_comp: float
     theta: float
     theta_comp: float
-
-    @property
-    def recip(self) -> float:
-        return self.recip_sum + self.recip_comp
-
-    @property
-    def logp(self) -> float:
-        return self.logp_over_p + self.logp_comp
-
-    @property
-    def theta_value(self) -> float:
-        return self.theta + self.theta_comp
 
 
 def check_budget(n_max: int, force: bool = False) -> None:
@@ -241,11 +221,7 @@ def accumulate(
     if _resume_from is not None:
         cp = _resume_from
         pi = cp.pi
-        sums = [
-            _units(cp.recip_sum) + _units(cp.recip_comp),
-            _units(cp.logp_over_p) + _units(cp.logp_comp),
-            _units(cp.theta) + _units(cp.theta_comp),
-        ]
+        sums = [_units(cp[k]) + _units(cp[k + 1]) for k in (2, 4, 6)]
         start = cp.x + 1
         i = int(schedule.searchsorted(cp.x, side="right"))
 
@@ -344,7 +320,7 @@ def with_text(rows: Iterable[SumCheckpoint], fmt) -> Iterator[tuple]:
     dense schedule repeat the sums of the row before."""
     key = text = None
     for c in rows:
-        now = (c.pi, struct.pack("6d", *_reals(c)))
+        now = struct.pack("q6d", *c[1:])
         if now != key:
             key, text = now, fmt(c)
         yield c, text
@@ -358,7 +334,7 @@ def write_checkpoints(rows: Iterable[SumCheckpoint], path) -> int:
     n = 0
     with open_atomic(path) as fh:
         fh.write(FILE_HEADER + "\n")
-        rows = with_text(rows, lambda c: ",".join([str(c.pi), *map(_fmt, _reals(c))]))
+        rows = with_text(rows, lambda c: ",".join([str(c.pi), *map(_fmt, c[2:])]))
         for n, (c, text) in enumerate(rows, 1):
             fh.write(f"{c.x},{text}\n")
     return n
@@ -367,52 +343,59 @@ def write_checkpoints(rows: Iterable[SumCheckpoint], path) -> int:
 def load_checkpoints(path) -> Iterator[SumCheckpoint]:
     """Yield the rows of the checkpoint file at ``path`` line by line, each once
     it is checked against the row before: a bad row raises when reached."""
+    names = SumCheckpoint._fields
     with open(path, "r", encoding="ascii") as fh:
         if fh.readline().rstrip("\n") != FILE_HEADER:
             raise CheckpointFormatError(1, "header", f"expected {FILE_HEADER!r}")
-        prev = None
+        prev = _NO_PRIMES
         for ln, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split(",")
-            if len(parts) != len(_FIELDS):
+            if len(parts) != len(names):
                 raise CheckpointFormatError(
-                    ln, _FIELDS[min(len(parts), len(_FIELDS) - 1)],
-                    f"expected {len(_FIELDS)} fields, got {len(parts)}",
+                    ln, names[min(len(parts), len(names) - 1)],
+                    f"expected {len(names)} fields, got {len(parts)}",
                 )
-            vals = {}
-            for name, raw in zip(_FIELDS, parts):
-                try:
-                    vals[name] = int(raw) if name in ("x", "pi") else float(raw)
-                except ValueError as exc:
-                    raise CheckpointFormatError(ln, name, str(exc)) from None
-            cp = SumCheckpoint(**vals)
+            try:
+                for k, raw in enumerate(parts):
+                    parts[k] = int(raw) if k < 2 else float(raw)
+            except ValueError as exc:
+                raise CheckpointFormatError(ln, names[k], str(exc)) from None
+            cp = SumCheckpoint._make(parts)
             _check_row(ln, cp, prev)
             yield cp
             prev = cp
 
 
-# The sums before the first prime, which every first row must reach.
-_NO_PRIMES = SumCheckpoint(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+# The sums before the first prime, which every first row must follow.
+_NO_PRIMES = SumCheckpoint(-1, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _check_row(ln: int, cp: SumCheckpoint, prev: SumCheckpoint | None) -> None:
+def _check_row(ln: int, cp: SumCheckpoint, prev: SumCheckpoint) -> None:
     """Raise CheckpointFormatError unless ``cp`` can follow row ``prev``."""
-    for name in _FIELDS[2:]:
-        if not math.isfinite(getattr(cp, name)):
-            raise CheckpointFormatError(ln, name, "not a finite number")
+    names = SumCheckpoint._fields
+    for k in range(2, 8):
+        if not math.isfinite(cp[k]):
+            raise CheckpointFormatError(ln, names[k], "not a finite number")
     if not 0 <= cp.pi <= cp.x:
         raise CheckpointFormatError(ln, "pi", f"{cp.pi} is outside [0, x={cp.x}]")
-    if prev is not None and cp.x <= prev.x:
+    if cp.x <= prev.x:
         raise CheckpointFormatError(ln, "x", "thresholds must be strictly increasing")
-    for name in ("pi", "recip_sum", "logp_over_p", "theta"):
-        now, before = getattr(cp, name), getattr(prev or _NO_PRIMES, name)
-        if now < before:
+    for k in (1, 2, 4, 6):
+        if cp[k] < prev[k]:
             raise CheckpointFormatError(
-                ln, name, f"{now!r} decreases from {before!r} on the row before"
+                ln, names[k], f"{cp[k]!r} decreases from {prev[k]!r} on the row before"
             )
     # every prime is >= 2, so theta >= pi ln 2; the slack covers rounding
     if cp.theta < cp.pi * math.log(2) * (1 - 1e-12):
         raise CheckpointFormatError(
             ln, "theta", f"{cp.theta!r} is below pi ln 2 for pi={cp.pi}"
         )
+    # a residual within half an ulp of its sum, so that sum + residual
+    # rounds to the sum, as for every row that write_checkpoints writes
+    for k in (2, 4, 6):
+        if cp[k] + cp[k + 1] != cp[k]:
+            raise CheckpointFormatError(
+                ln, names[k + 1], f"{cp[k + 1]!r} is over half an ulp of {names[k]}"
+            )

@@ -46,8 +46,8 @@ def parse_scale(text: str) -> int:
     try:
         if "^" in text:
             base, exp = (int(t) for t in text.split("^"))
-            # |a| >= 2 reaches 2^63 by b = 63: never compute a larger a^b
-            in_range = exp >= 0 and (abs(base) <= 1 or exp < 63)
+            # a >= 2 reaches 2^63 by b = 63: never compute a larger a^b
+            in_range = base >= 0 and exp >= 0 and (base <= 1 or exp < 63)
             value = base ** exp if in_range else None
         elif "e" in text.lower() or "." in text:
             v = float(text)
@@ -128,8 +128,8 @@ def _out_path(path: str) -> str:
 def _printed(rows):
     """Yield ``rows``, printing each one as it passes."""
     def fields(cp):
-        return (f"pi={cp.pi} recip={_fmt(cp.recip)} "
-                f"logp_over_p={_fmt(cp.logp)} theta={_fmt(cp.theta_value)}")
+        return (f"pi={cp.pi} recip={_fmt(cp.recip_sum)} "
+                f"logp_over_p={_fmt(cp.logp_over_p)} theta={_fmt(cp.theta)}")
 
     for cp, text in accumulators.with_text(rows, fields):
         print(f"x={cp.x} {text}")

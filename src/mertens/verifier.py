@@ -78,7 +78,7 @@ def check_grossehilfsatz1(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
     for cp in series:
         if cp.x < 2:
             continue
-        R = cp.logp - math.log(cp.x)
+        R = cp.logp_over_p - math.log(cp.x)
         reports.append(_report("grossehilfsatz1", {"x": cp.x}, R, 2.0))
     return reports
 
@@ -95,13 +95,12 @@ def check_theta(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
     for cp in series:
         if cp.x < 2:
             continue
-        th = cp.theta_value
-        reports.append(_report("theta_lt_2x", {"x": cp.x}, th, 2.0 * cp.x))
+        reports.append(_report("theta_lt_2x", {"x": cp.x}, cp.theta, 2.0 * cp.x))
         if cp.x >= CHEBYSHEV_BAND_MIN_X:
             # two-sided band, reported as the distance into the band
             lo, hi = CHEBYSHEV_LOWER * cp.x, CHEBYSHEV_UPPER * cp.x
             reports.append(_report(
-                "chebyshev_band", {"x": cp.x}, th, hi,
+                "chebyshev_band", {"x": cp.x}, cp.theta, hi,
                 note=f"band [{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi,
             ))
     return reports
@@ -180,13 +179,19 @@ def stirling_lambda(n: int) -> float:
 
 
 def check_stirling(x: float) -> list[BoundReport]:
-    """Both one-sided factorial bounds at real x >= 4, and the lambda form."""
+    """Both one-sided factorial bounds at real x >= 4, and the lambda form.
+
+    With h(t) = t ln t - t + ln(t)/2 and n = [x], the upper bound ln n! <=
+    h(x) + ln sqrt(2 pi) + 1/(12x) is checked as lambda(n)/(12n) - (h(x) -
+    h(n)) <= 1/(12x): at an integer x its margin, about 1/(360 x^3), is far
+    below an ulp of x ln x."""
     if x < 4:
         raise ValueError(f"x must be >= 4, got {x}")
-    reports = []
-    lf = _log_factorial(math.floor(x))
-    upper = x * math.log(x) + 0.5 * math.log(x) - x + TWO_PI_LOG_ROOT + 1 / (12 * x)
-    reports.append(_report("stirling_upper", {"x": x}, lf, upper))
+    n = math.floor(x)
+    lam = stirling_lambda(n)
+    hx, hn = (t * math.log(t) - t + 0.5 * math.log(t) for t in (x, n))
+    remainder = lam / (12 * n) - (hx - hn)
+    reports = [_report("stirling_upper", {"x": x}, remainder, 1 / (12 * x), lo=-math.inf)]
     lf_half = _log_factorial(math.floor(x / 2))
     lower = (
         x * math.log(x) - x * math.log(2) - math.log(x) - x
@@ -196,9 +201,7 @@ def check_stirling(x: float) -> list[BoundReport]:
     reports.append(_report(
         "stirling_lower", {"x": x}, 2 * lf_half, lower, lo=lower, hi=math.inf,
     ))
-    n = math.floor(x)
     if n >= 5:
-        lam = stirling_lambda(n)
         reports.append(_report("stirling_lambda", {"n": n}, lam, 1.0))
     return reports
 
@@ -246,7 +249,7 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint],
     for cp, k in zip(series, ks):
         last = k * (1.0 / float(all_p[k - 1]) - 1.0 / cp.x)
         rhs = k / cp.x + _round_once(heads[k] + accumulators._units(last))
-        rel = abs(cp.recip - rhs) / cp.recip
+        rel = abs(cp.recip_sum - rhs) / cp.recip_sum
         reports.append(_report("abel_pi_identity", {"x": cp.x}, rel, 1e-10))
     return reports
 
@@ -350,7 +353,7 @@ def mertens_error_table(series: Sequence[SumCheckpoint], bundle: ConstantsBundle
             continue
         x = float(cp.x)
         lx = math.log(x)
-        signed = cp.recip - math.log(lx) - B
+        signed = cp.recip_sum - math.log(lx) - B
         true_err = abs(signed)
         schoenfeld = (3 * lx + 4) / (8 * math.pi * math.sqrt(x))
         if x >= 2**16:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -30,15 +29,15 @@ from mertens.accumulators import (
 def test_sums_at_10():
     cp = list(accumulate(10, [10]))[0]
     assert cp.pi == 4
-    assert cp.theta_value == pytest.approx(math.log(210), abs=1e-14)
+    assert cp.theta == pytest.approx(math.log(210), abs=1e-14)
     # ln2/2 + ln3/3 + ln5/5 + ln7/7, frozen from direct evaluation
-    assert cp.logp == pytest.approx(1.312652433140255, abs=1e-14)
-    assert cp.recip == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, abs=1e-15)
+    assert cp.logp_over_p == pytest.approx(1.312652433140255, abs=1e-14)
+    assert cp.recip_sum == pytest.approx(1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, abs=1e-15)
 
 
 def test_empty_prime_set():
     cp = list(accumulate(1, [1]))[0]
-    assert (cp.pi, cp.recip, cp.logp, cp.theta_value) == (0, 0.0, 0.0, 0.0)
+    assert (cp.pi, cp.recip_sum, cp.logp_over_p, cp.theta) == (0, 0.0, 0.0, 0.0)
 
 
 def test_pi_matches_stream_count():
@@ -51,12 +50,12 @@ def test_checkpoints_nondecreasing():
     cps = list(accumulate(10**5, [10, 100, 10**3, 10**4, 10**5]))
     for a, b in zip(cps, cps[1:]):
         assert a.pi <= b.pi
-        assert a.recip <= b.recip
-        assert a.logp <= b.logp
-        assert a.theta_value <= b.theta_value
+        assert a.recip_sum <= b.recip_sum
+        assert a.logp_over_p <= b.logp_over_p
+        assert a.theta <= b.theta
         # orderings that actually hold at every threshold
-        assert b.recip < b.pi
-        assert b.theta_value < b.pi * math.log(b.x)
+        assert b.recip_sum < b.pi
+        assert b.theta < b.pi * math.log(b.x)
 
 
 def test_threshold_mid_segment_equals_exact_run():
@@ -179,12 +178,14 @@ class TestCheckpointFile:
         ("theta", "5.3"),
         # rises from the row before, but 25 primes make theta >= 25 ln 2
         ("theta", "10.0"),
+        # over half an ulp of recip_sum, so the pair does not round to it
+        ("recip_comp", "1.0E-10"),
     ])
     def test_impossible_row_names_line_and_field(self, field, raw, tmp_path):
         path = tmp_path / "cp.csv"
         write_checkpoints(accumulate(100, [10, 100]), path)
         lines = path.read_text().splitlines()
-        row = dict(zip(accumulators._FIELDS, lines[2].split(",")))
+        row = dict(zip(SumCheckpoint._fields, lines[2].split(",")))
         row[field] = raw
         lines[2] = ",".join(row.values())
         path.write_text("\n".join(lines) + "\n")
@@ -215,8 +216,8 @@ class TestCheckpointFile:
     def test_a_row_is_formatted_again_when_a_zero_changes_sign(self):
         # -0.0 == 0.0, but the two print differently
         a = SumCheckpoint(3, 1, 0.5, 0.0, 0.5, 0.0, 1.0, 0.0)
-        rows = [a, dataclasses.replace(a, x=4), dataclasses.replace(a, x=5, logp_comp=-0.0),
-                dataclasses.replace(a, x=6, logp_comp=-0.0), dataclasses.replace(a, x=7, pi=2)]
+        rows = [a, a._replace(x=4), a._replace(x=5, logp_comp=-0.0),
+                a._replace(x=6, logp_comp=-0.0), a._replace(x=7, pi=2)]
         texts = list(accumulators.with_text(rows, lambda c: f"{c.pi} {c.logp_comp}"))
         assert [c for c, _ in texts] == rows
         assert [t for _, t in texts] == ["1 0.0", "1 0.0", "1 -0.0", "1 -0.0", "2 0.0"]
@@ -274,8 +275,8 @@ def test_resume_from_a_file_with_a_rounding_carry(tmp_path):
     got = extended[-1]
     want = list(accumulate(2**17, [2**17]))[0]
     assert got.pi == want.pi
-    for a, b in [(got.recip, want.recip), (got.logp, want.logp),
-                 (got.theta_value, want.theta_value)]:
+    for a, b in [(got.recip_sum, want.recip_sum), (got.logp_over_p, want.logp_over_p),
+                 (got.theta, want.theta)]:
         assert abs(a - b) <= math.ulp(b)
 
 

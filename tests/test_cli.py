@@ -37,6 +37,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text", [
         "2^-1", "-5", "0", "2.5", "1e400", "nan", "2^63", "2^100000",
+        "-2^20", "-1^2", "-3^0",
     ])
     def test_parse_scale_rejects(self, text):
         # not an integer >= 1, or past 2^63; a^b is refused before it is
@@ -202,6 +203,22 @@ class TestVerify:
         argv = argv + ["--checkpoints", str(tmp_path / "cp.csv")]
         assert main(argv) == EXIT_USAGE
         assert "not an integer in [1, 2^63)" in capsys.readouterr().err
+
+    def test_negative_base_exits_2_and_writes_no_file(self, tmp_path, capsys):
+        # (-2)^20 is 2^20, but -2^20 is no scale
+        path = tmp_path / "cp.csv"
+        assert main(["sums", "--max=-2^20", "--checkpoints", str(path)]) == EXIT_USAGE
+        assert "not an integer in [1, 2^63)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_no_pass_has_a_negative_margin(self, capsys):
+        # a pass inside ROUNDING_ALLOWANCE but outside its bound shows an
+        # observed value that rounding has drowned
+        assert main(["verify", "--max", "2^20", "--wolf-table"]) == EXIT_OK
+        passes = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("PASS ")]
+        negative = [line for line in passes if line.split(" margin=")[1].startswith("-")]
+        assert passes and negative == []
 
     def test_no_checks_run_exits_2(self, capsys):
         # theta skips x < 2: a run with no check is not a pass
@@ -373,7 +390,8 @@ def test_parse_scale_round_trips_plain_integers(v):
 
 @given(st.integers(-40, 40), st.integers(0, 70))
 def test_parse_scale_round_trips_powers(a, b):
-    if 1 <= a**b < 2**63:
+    # a negative base is refused even where a^b would be in range
+    if a >= 0 and 1 <= a**b < 2**63:
         assert parse_scale(f"{a}^{b}") == a**b
     else:
         with pytest.raises(UsageError):
@@ -562,5 +580,5 @@ def test_a_dense_schedule_formats_each_distinct_row_once(tmp_path, monkeypatch, 
             c.recip_sum, c.recip_comp, c.logp_over_p, c.logp_comp, c.theta, c.theta_comp))])
         for c in rows]
     out = capsys.readouterr().out.splitlines()
-    assert out[:-1] == [f"x={c.x} pi={c.pi} recip={f(c.recip)} logp_over_p={f(c.logp)} "
-                        f"theta={f(c.theta_value)}" for c in rows]
+    assert out[:-1] == [f"x={c.x} pi={c.pi} recip={f(c.recip_sum)} "
+                        f"logp_over_p={f(c.logp_over_p)} theta={f(c.theta)}" for c in rows]

@@ -141,7 +141,10 @@ class TestStirling:
     def test_bounds_at_4(self):
         reports = check_stirling(4.0)
         upper = next(r for r in reports if r.name == "stirling_upper")
-        assert upper.observed == pytest.approx(math.log(24), abs=1e-12)
+        # the Stirling remainder lambda(4)/48 against the bound 1/48
+        assert upper.observed == pytest.approx(stirling_lambda(4) / 48, abs=1e-15)
+        assert upper.observed == pytest.approx(0.0207907, abs=1e-7)
+        assert upper.bound == 1 / 48
         assert upper.passed and upper.margin > 0
 
     def test_all_pass_at_various_x(self):
@@ -190,7 +193,7 @@ class TestAbelPiIdentity:
         r = check_abel_pi_identity(series, p20)[0]
         assert r.passed
         # both sides equal sum 1/p over {2,3,5,7}
-        assert series[0].recip == pytest.approx(
+        assert series[0].recip_sum == pytest.approx(
             1.1761904761904762, abs=1e-15
         )
 
