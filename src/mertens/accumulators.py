@@ -171,22 +171,6 @@ def check_budget(n_max: int, force: bool = False) -> None:
         )
 
 
-def _prime_blocks(
-    n, start=2, segment_size=primes.DEFAULT_SEGMENT_SIZE
-) -> Iterator[np.ndarray]:
-    """The primes in [start, n], ascending, in int64 arrays of at most
-    BLOCK, from segments of ``segment_size`` odd entries; a caller that drops
-    each block before it asks for the next holds one segment at a time."""
-    for seg in primes.iter_segments(n, segment_size, start):
-        p = seg.primes()
-        if start > seg.lo:
-            p = p[p >= start]
-        del seg
-        for b in range(0, len(p), BLOCK):
-            yield p[b : b + BLOCK]
-        del p
-
-
 def accumulate(
     n_max,
     schedule,
@@ -200,10 +184,11 @@ def accumulate(
     taken as one int64 array; it is checked when the first row is asked
     for.  Each row is yielded as soon as the primes up to its threshold
     are summed, and none is kept, so the rows take no memory that grows
-    with the schedule.  Each pass over a block of at most BLOCK primes costs
-    one ``exact_sum`` call per sum, cut at up to CUTS thresholds inside the
-    block, so a block with at most CUTS thresholds costs three calls
-    however many it has, and no list of a pass is longer than CUTS + 1.
+    with the schedule.  Each segment's primes are summed in passes over
+    blocks of at most BLOCK of them, each pass one ``exact_sum`` call per
+    sum, cut at up to CUTS thresholds inside the block, so a block with at
+    most CUTS thresholds costs three calls however many it has, and no list
+    of a pass is longer than CUTS + 1.
     """
     n_max = int(n_max)
     check_budget(n_max, force)
@@ -232,11 +217,14 @@ def accumulate(
         vals = [v for s in sums for v in _split(s)] if len(xs) else []
         return [SumCheckpoint(x, pi, *vals) for x in xs.tolist()]
 
-    for block in _prime_blocks(n_max, start, segment_size):
-        while len(block):
-            # the thresholds below the block's last prime cut it, the others
-            # wait for the next block; past CUTS of them, the primes after
-            # the CUTS-th wait for the next pass over this block
+    for seg in primes.iter_segments(n_max, segment_size, start):
+        rest = seg.primes()
+        while len(rest):
+            # a pass takes the next block of at most BLOCK primes; the
+            # thresholds below its last prime cut it, the others wait for
+            # the next pass, and past CUTS of them, so do the primes after
+            # the CUTS-th
+            block = rest[:BLOCK]
             below = int(schedule[i : i + CUTS + 1].searchsorted(block[-1]))
             j = i + min(below, CUTS)
             seen = block.searchsorted(schedule[i:j], side="right")
@@ -261,9 +249,9 @@ def accumulate(
                 pi = pi0 + e
                 yield from record(schedule[i:b])
                 i = b
-            block = block[n:]
-        # a view that would keep its segment's primes through the next sieve
-        del block
+            rest = rest[n:]
+        # views that would keep the segment's primes through the next sieve
+        rest = block = None
     yield from record(schedule[i:])
 
 

@@ -5,14 +5,14 @@ primes from here, through one of two sources: ``iter_segments`` streams
 them segment by segment, and ``primes_up_to`` materialises them as one
 array.  The sieve is segmented and odd-only so that limits up to 2^34
 never materialize a full bitmap; segments tile [2, n] exactly, and a
-stream may begin at the segment that contains a given start, so a resumed
-run sieves nothing below its resume point.
+stream may begin at a given start, so a resumed run sieves nothing below
+its resume point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,38 +22,6 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # Moebius lists beyond this are never needed: every series over n that
 # uses mu truncates far earlier, and a list of 10^7 ints takes 80 MB.
 MOEBIUS_MAX = 10**7
-
-
-@dataclass(frozen=True)
-class PrimeSegment:
-    """Primality bitmap for the interval [lo, hi).
-
-    ``bits[i]`` covers the odd integer ``odd_base + 2*i`` where
-    ``odd_base`` is the first odd integer >= lo.  The prime 2 is
-    special-cased: it belongs to the segment whose interval contains it.
-    ``scan`` is ``bits`` then len(bits) // 32 set entries, which keep
-    more than 10 % of it set up to x = 2^40: numpy's ``flatnonzero`` on
-    bools is 2-3x slower below that, and primes are sparser past 4.85e8.
-    """
-
-    lo: int
-    hi: int
-    bits: np.ndarray
-    scan: np.ndarray
-
-    @property
-    def odd_base(self) -> int:
-        return self.lo | 1
-
-    def primes(self) -> np.ndarray:
-        """Primes in [lo, hi), ascending, as int64."""
-        odds = np.flatnonzero(self.scan)[: self.bits.size - self.scan.size or None]
-        odds = odds.astype(np.int64, copy=False)
-        odds *= 2
-        odds += self.odd_base
-        if self.lo <= 2 < self.hi:
-            return np.concatenate(([np.int64(2)], odds))
-        return odds
 
 
 def _wheel_pattern(wheel_primes) -> np.ndarray:
@@ -74,12 +42,16 @@ _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = _wheel_pattern(_WHEEL_PRIMES)
 
 
-def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> PrimeSegment:
-    """Sieve the odd integers of [lo, hi), lo >= 2, against the base primes.
+def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The primes of [lo, hi), lo >= 2, ascending, as int64, sieved from
+    the odd integers against the base primes.
 
     The bitmap starts as the wheel pattern at the segment's phase, with the
     wheel primes in [lo, hi) put back; the base primes past the wheel then
-    cross off their odd multiples from max(p^2, first in the segment).
+    cross off their odd multiples from max(p^2, first in the segment).  The
+    scan is the bitmap then count // 32 set entries, which keep more than
+    10 % of it set up to x = 2^40: numpy's ``flatnonzero`` on bools is 2-3x
+    slower below that, and primes are sparser past 4.85e8.
     """
     odd_base = lo | 1
     count = max(0, (hi - odd_base + 1) // 2)
@@ -100,16 +72,37 @@ def _sieve_segment(lo: int, hi: int, base: np.ndarray) -> PrimeSegment:
     start += p * (start % 2 == 0)
     for q, i in zip(p.tolist(), ((start - odd_base) // 2).tolist()):
         bits[i::q] = False
-    return PrimeSegment(lo, hi, bits, scan)
+    odds = np.flatnonzero(scan)[: -(count // 32) or None]
+    # int64 before the arithmetic: an int32 intp would overflow past 2^31
+    odds = odds.astype(np.int64, copy=False)
+    odds *= 2
+    odds += odd_base
+    if lo <= 2 < hi:
+        return np.concatenate(([np.int64(2)], odds))
+    return odds
+
+
+class PrimeSegment(NamedTuple):
+    """The integers [lo, hi) of a stream and the base primes that sieve
+    them: the arguments of ``_sieve_segment``, which ``primes()`` calls, so
+    a segment holds no primes until they are asked for."""
+
+    lo: int
+    hi: int
+    base: np.ndarray
+
+    def primes(self) -> np.ndarray:
+        """Primes in [lo, hi), ascending, as int64."""
+        return _sieve_segment(*self)
 
 
 def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, start=2):
-    """Yield PrimeSegments tiling [2, n] in ascending order, each sieved
-    when the caller asks for it.
+    """Yield the PrimeSegments that tile [max(2, start), n] in ascending
+    order.
 
-    Segments lie on the fixed grid lo = 2 + k * 2 * segment_size; the
-    first one yielded is the segment that contains ``start``, so
-    segments wholly below ``start`` are never sieved.
+    Segments lie on the fixed grid lo = 2 + k * 2 * segment_size.  The
+    first one yielded is the segment that contains ``start``, cut to begin
+    at it, so no integer below ``start`` is ever sieved.
     """
     n = int(n)
     if n < 2:
@@ -118,7 +111,7 @@ def iter_segments(n, segment_size=DEFAULT_SEGMENT_SIZE, start=2):
     span = 2 * segment_size
     first = 2 + max(0, start - 2) // span * span
     for lo in range(first, n + 1, span):
-        yield _sieve_segment(lo, min(lo + span, n + 1), base)
+        yield PrimeSegment(max(lo, start), min(lo + span, n + 1), base)
 
 
 def primes_up_to(n) -> np.ndarray:

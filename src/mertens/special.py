@@ -2,8 +2,9 @@
 
 Every evaluation returns an EvaluatedReal: the value plus a rigorous
 absolute bound on the truncation error.  Truncation bounds deliberately
-exclude floating-point rounding, except euler_gamma's, which covers it;
-callers that need a total allowance add ROUNDING_ALLOWANCE (relative) on top.
+exclude floating-point rounding, except those of euler_gamma and of E1's
+series for x <= 1, which cover it; callers that need a total allowance add
+ROUNDING_ALLOWANCE (relative) on top.
 """
 
 from __future__ import annotations
@@ -149,9 +150,15 @@ def exp_integral_e1(x: float) -> EvaluatedReal:
 
 
 def _e1_series(x: float) -> EvaluatedReal:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!)
+    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!).  Besides
+    # the truncation and gamma's bound, err_bound covers the rounding: ln x
+    # within 1 ulp, half an ulp for -gamma - ln x and each partial sum, and
+    # 2k + 1 roundings for the k-th term, times a slack for the first-order
+    # error terms left out and for the bound's own arithmetic
     gamma = euler_gamma()
-    acc = -gamma.value - math.log(x)
+    ln = math.log(x)
+    acc = -gamma.value - ln
+    rounding = 2 * abs(ln) + abs(acc)
     term = 1.0
     k = 0
     while True:
@@ -159,11 +166,11 @@ def _e1_series(x: float) -> EvaluatedReal:
         term *= -x / k
         contrib = -term / k
         acc += contrib
-        if abs(contrib) < 1e-18 * max(abs(acc), 1e-300):
+        rounding += (2 * k + 1) * abs(contrib) + abs(acc)
+        if abs(contrib) < 1e-18 * max(abs(acc), 1e-300) or k > 200:
             break
-        if k > 200:
-            break
-    return EvaluatedReal(acc, abs(term / (k + 1)) + gamma.err_bound)
+    err = abs(term / (k + 1)) + gamma.err_bound + rounding * 2.0**-53
+    return EvaluatedReal(acc, err * (1 + 2.0**-20))
 
 
 def _e1_continued_fraction(x: float) -> EvaluatedReal:

@@ -4,6 +4,7 @@ import os
 import pathlib
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -107,27 +108,51 @@ def test_resume_matches_single_run():
     assert extended == full
 
 
-def test_resume_sieves_only_from_the_resume_segment(monkeypatch):
+def test_resume_sieves_only_from_the_resume_segment(sieved):
     n_max, size = 10**5, 2**10
     schedule = list(range(1000, n_max + 1, 1000))
     first = list(accumulate(60_000, schedule[:60], segment_size=size))
     full = list(accumulate(n_max, schedule, segment_size=size))
-    sieved = []
-    real = primes.iter_segments
-
-    def spy(n, *args, **kwargs):
-        for seg in real(n, *args, **kwargs):
-            if n == n_max:  # not the nested base-prime sieve
-                sieved.append((seg.lo, seg.hi))
-            yield seg
-
-    monkeypatch.setattr(primes, "iter_segments", spy)
     extended = list(accumulators.extend(first, n_max, schedule, segment_size=size))
-    # the resumed stream spans about 20 segments of 2048 integers
-    assert len(sieved) > 10
-    assert all(hi > 60_001 for _, hi in sieved)
-    assert sieved[0][0] <= 60_001
+    segs = sieved.stream()
+    # the resumed stream spans about 20 segments of 2048 integers, and the
+    # first begins at the resume point
+    assert len(segs) > 10
+    assert all(c.hi > 60_001 for c in segs)
+    assert min(c.lo for c in segs) == 60_001
     assert extended == full
+
+
+def _live_while_sieving(monkeypatch):
+    """The list of the calls of ``primes._sieve_segment`` from here on that
+    begin while the memory of the array that the call before returned is
+    still alive, through that array or any view of it."""
+    held, last = [], [lambda: None]
+    real = primes._sieve_segment
+
+    def spy(lo, hi, base):
+        if last[0]() is not None:
+            held.append((lo, hi))
+        got = real(lo, hi, base)
+        last[0] = weakref.ref(got if got.base is None else got.base)
+        return got
+
+    monkeypatch.setattr(primes, "_sieve_segment", spy)
+    return held
+
+
+def test_no_segment_outlives_the_next_sieve(monkeypatch):
+    # the primes of a segment, or a block (a view of them), that lived
+    # through the next sieve held one segment more, 1.4-3 MB at 2^24-2^28
+    n = 2**22
+    schedule = range(2**10, n + 1, 2**10)
+    held = _live_while_sieving(monkeypatch)
+    assert sum(1 for _ in accumulate(n, schedule)) == len(schedule)
+    first = list(accumulate(n // 3, schedule[: len(schedule) // 3],
+                            segment_size=2**16))
+    extended = list(accumulators.extend(first, n, schedule, segment_size=2**16))
+    assert len(extended) == len(schedule)
+    assert held == []
 
 
 class TestCheckpointFile:
@@ -741,19 +766,30 @@ BLOCK_PRIME = int(primes.primes_up_to(10**6)[BLOCK - 1])
     # the last integer of the first segment, and the first of the second
     2 * primes.DEFAULT_SEGMENT_SIZE + 1, 2 * primes.DEFAULT_SEGMENT_SIZE + 2,
 ])
-def test_prime_sum_is_the_exact_sum_over_the_primes(n):
-    blocks = list(accumulators._prime_blocks(n))
-    p = primes.primes_up_to(n)
-    # the walk gave every prime up to n once, in order, in blocks
-    assert all(0 < len(k) <= BLOCK for k in blocks)
-    assert np.array_equal(np.concatenate([p[:0], *blocks]), p)
-    # and its blocks sum, one exact_sum each, to the sum over all the primes
-    def f(q):
-        return q ** -1.5 / np.log(q)
+def test_prime_sum_is_the_exact_sum_over_the_primes(n, monkeypatch):
+    sizes = []
+    real = accumulators.exact_sum
 
-    total = sum(exact_sum(f(k), ends=[len(k)])[0] for k in blocks)
-    oracle = sum(map(Fraction, f(p).tolist()), Fraction(0))
-    assert Fraction(total, 1 << UNIT_BITS) == oracle
+    def spy(x, ends):
+        sizes.append(len(x))
+        return real(x, ends)
+
+    monkeypatch.setattr(accumulators, "exact_sum", spy)
+    (row,) = accumulate(n, [n])
+    p = primes.primes_up_to(n)
+    # the stream summed every prime up to n once, in blocks of at most
+    # BLOCK, one exact_sum call per sum and block
+    blocks = sizes[::3]
+    assert sizes == [k for k in blocks for _ in range(3)]
+    assert all(0 < k <= BLOCK for k in blocks)
+    assert sum(blocks) == row.pi == len(p)
+    # and its sums are the exact sums over all the primes
+    f = p.astype(np.float64)
+    logs = np.log(f)
+    pairs = [(row.recip_sum, row.recip_comp),
+             (row.logp_over_p, row.logp_comp), (row.theta, row.theta_comp)]
+    for (s, c), t in zip(pairs, (1.0 / f, logs / f, logs)):
+        assert Fraction(s) + Fraction(c) == _exact_prefix_sums(t, [len(p)])[0]
 
 
 def _fail_after(calls, real):
@@ -830,9 +866,8 @@ def test_a_threshold_at_every_integer(size, kind):
     assert extended == series
 
 
-def test_kernel_calls_do_not_grow_with_the_schedule(monkeypatch):
+def test_kernel_calls_do_not_grow_with_the_schedule(monkeypatch, sieved):
     n = 2**22
-    blocks = sum(-(-len(seg.primes()) // BLOCK) for seg in primes.iter_segments(n))
     calls = []
     real = accumulators.exact_sum
 
@@ -847,4 +882,5 @@ def test_kernel_calls_do_not_grow_with_the_schedule(monkeypatch):
         list(accumulate(n, schedule))
         counts.append(len(calls))
     # one call per sum and block, for 4,096 thresholds as for one
+    blocks = sum(-(-len(c.primes) // BLOCK) for c in sieved.stream())
     assert counts == [3 * blocks] * 2

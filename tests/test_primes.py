@@ -58,15 +58,25 @@ def test_only_the_prime_and_sum_layers_stream_segments():
     assert sievers == ["run_suite"]
 
 
-def test_start_skips_segments_below_it():
+def segment_primes(n, **kwargs):
+    """The primes of each segment of a stream to n, as a list of arrays."""
+    return [seg.primes() for seg in primes.iter_segments(n, **kwargs)]
+
+
+@pytest.mark.parametrize("start", [
+    2, 3, 4957, 2049, 2050, 2051, 10**5, 10**5 + 1,
+], ids=["2", "3", "prime", "second-1", "second", "second+1", "n", "n+1"])
+def test_start_skips_segments_below_it(start, sieved):
+    # segments of 2048 integers: the second segment begins at 2050
     n, size = 10**5, 2**10
-    every = list(primes.iter_segments(n, segment_size=size))
-    tail = list(primes.iter_segments(n, segment_size=size, start=50_000))
-    assert tail[0].lo <= 50_000 < tail[0].hi
-    # same grid and same bits as the segments of a run from 2
-    for a, b in zip(tail, every[len(every) - len(tail):]):
-        assert (a.lo, a.hi) == (b.lo, b.hi)
-        assert np.array_equal(a.primes(), b.primes())
+    ref = primes.primes_up_to(n)
+    sieved.clear()
+    got = np.concatenate([ref[:0], *segment_primes(n, segment_size=size, start=start)])
+    assert np.array_equal(got, ref[ref >= start])
+    # the grid of a run from 2, cut at start: nothing below it is sieved
+    grid = [(lo, min(lo + 2 * size, n + 1)) for lo in range(2, n + 1, 2 * size)]
+    want = [(max(lo, start), hi) for lo, hi in grid if lo + 2 * size > start]
+    assert [(c.lo, c.hi) for c in sieved.stream()] == want
 
 
 def test_count_at_2_16():
@@ -81,71 +91,77 @@ def test_matches_trial_division_to_1e5():
         assert list(primes.primes_up_to(n)) == trial_division_primes(n), n
 
 
-def check_segment(seg):
-    """``bits`` covers the odd integers of [lo, hi); ``scan`` is ``bits``
-    followed by count // 32 set entries, and ``primes`` reads exactly
-    the set entries of ``bits``."""
-    count = len(range(seg.lo | 1, seg.hi, 2))
-    assert len(seg.bits) == count
-    assert np.array_equal(seg.scan[:count], seg.bits)
-    assert seg.scan[count:].all() and seg.scan.size == count + count // 32
-    odds = np.flatnonzero(seg.bits) * 2 + seg.odd_base
-    want = np.concatenate(([2], odds)) if seg.lo <= 2 < seg.hi else odds
-    assert np.array_equal(seg.primes(), want)
+def check_segment(call):
+    """The scan covers the odd integers of [lo, hi), count of them, then
+    count // 32 set entries, and the primes read exactly its set entries
+    that are not the tail's (with 2 where [lo, hi) holds it)."""
+    count = len(range(call.lo | 1, call.hi, 2))
+    size, marked = call.scan
+    assert size == count + count // 32
+    two = call.lo <= 2 < call.hi
+    assert marked == len(call.primes) - two + count // 32
+    p = call.primes
+    assert p.dtype == np.int64 and (np.diff(p) > 0).all()
+    assert p.size == 0 or (call.lo <= p[0] and p[-1] < call.hi)
+    assert (p[two:] % 2 == 1).all() and (not two or p[0] == 2)
 
 
 @pytest.mark.parametrize("segment_size", [1, 2, 3, 7, 7507, 15015])
-def test_small_segments_match_trial_division(segment_size):
+def test_small_segments_match_trial_division(segment_size, sieved):
     # these sizes start segments at every phase of the 15015-periodic wheel
     # pattern, and put 3..13 in segments of their own; n is even, so the
     # last segment is cut short at hi = n + 1
     n = 2 * 10**4
-    segs = list(primes.iter_segments(n, segment_size=segment_size))
-    for seg in segs:
-        check_segment(seg)
+    got = np.concatenate(segment_primes(n, segment_size=segment_size))
+    segs = sieved.stream()
+    for call in segs:
+        check_segment(call)
     assert segs[-1].hi == n + 1
-    got = np.concatenate([s.primes() for s in segs])
     assert got.tolist() == trial_division_primes(n)
 
 
-def test_empty_final_segment_at_wheel_phase_0():
+def test_empty_final_segment_at_wheel_phase_0(sieved):
     # 30030 = 2 + 2 * 2 * 7507 starts a segment that holds no odd integer,
     # and 30031 // 2 = 15015 puts it at phase 0, with no wheel period to fill
-    segs = list(primes.iter_segments(30030, segment_size=7507))
+    segment_primes(30030, segment_size=7507)
+    segs = sieved.stream()
     assert (segs[-1].lo, segs[-1].hi) == (30030, 30031)
-    for seg in segs:
-        check_segment(seg)
+    for call in segs:
+        check_segment(call)
 
 
 @pytest.mark.parametrize("n", [2**30, 2**34])
-def test_sparse_segments_scan_more_than_a_tenth_set(n):
+def test_sparse_segments_scan_more_than_a_tenth_set(n, sieved):
     # below a tenth set, numpy's flatnonzero on bools takes a path 2-3x
     # slower; primes fill less than that of the odd integers here
-    seg = next(primes.iter_segments(n, start=n))
-    assert seg.hi == n + 1
-    assert seg.bits.mean() < 0.1 < seg.scan.mean()
-    check_segment(seg)
+    lo = n - 2 * primes.DEFAULT_SEGMENT_SIZE
+    segment_primes(n, start=lo)
+    (call,) = [c for c in sieved if c.hi == n + 1]
+    count = len(range(call.lo | 1, call.hi, 2))
+    size, marked = call.scan
+    assert (marked - count // 32) / count < 0.1 < marked / size
+    check_segment(call)
 
 
 @pytest.mark.parametrize("x", [2**30, 2**34])
-def test_segments_near_large_x_extract_their_bitmap(x):
-    seg = next(primes.iter_segments(x + 2**22, start=x))
-    assert seg.lo <= x < seg.hi
-    check_segment(seg)
+def test_segments_near_large_x_extract_their_bitmap(x, sieved):
+    segment_primes(x + 2**22, start=x)
+    (call, *_) = sieved.stream()
+    assert call.lo == x < call.hi
+    check_segment(call)
 
 
 @pytest.mark.parametrize("segment_size", [2**10, 2**16, 2**20])
 def test_segment_tiling_independent_of_size(segment_size):
     n = 10**7 - 1
-    ref = np.concatenate([s.primes() for s in primes.iter_segments(n)])
-    got = np.concatenate(
-        [s.primes() for s in primes.iter_segments(n, segment_size=segment_size)]
-    )
+    ref = np.concatenate(segment_primes(n))
+    got = np.concatenate(segment_primes(n, segment_size=segment_size))
     assert np.array_equal(ref, got)
 
 
-def test_segments_tile_without_gap_or_overlap():
-    segs = list(primes.iter_segments(10**5, segment_size=2**10))
+def test_segments_tile_without_gap_or_overlap(sieved):
+    segment_primes(10**5, segment_size=2**10)
+    segs = sieved.stream()
     assert segs[0].lo == 2
     for a, b in zip(segs, segs[1:]):
         assert a.hi == b.lo
