@@ -7,6 +7,7 @@ Identical configurations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -25,15 +26,15 @@ OUTPUT_DIR_ENV = "MERTENS_OUT_DIR"
 
 POW2_FIRST = 16
 # The most thresholds a schedule may have.  sums streams its rows and holds 8
-# bytes a threshold, but verify holds a row and some six report lines, about
-# 1.9 kB a threshold: verify --only theta to 2^14, 2^16 and 2^18, every 1,
-# peaked at 47.6, 122.6 and 499.2 MB; 2^20 thresholds would take about 2 GB.
+# bytes a threshold, but verify holds a row and its reports, about 0.9 kB a
+# threshold: verify --only theta to 2^14, 2^16 and 2^18, every 1, peaked at
+# 39.0, 75.1 and 251.0 MB; 2^20 thresholds would take about 1 GB.
 MAX_CHECKPOINTS = 1 << 20
 # --workers is accepted so that existing command lines keep working.  It has
-# no effect until the process pool of ROADMAP item 6 lands.
+# no effect until the process pool of ROADMAP item 8 lands.
 MAX_WORKERS = 64
 WORKERS_HELP = (f"an integer in [1, {MAX_WORKERS}], accepted for existing "
-                "command lines; no effect until ROADMAP item 6 lands")
+                "command lines; no effect until ROADMAP item 8 lands")
 
 
 class UsageError(Exception):
@@ -180,6 +181,22 @@ def _series_for_verify(args):
     return rows
 
 
+def _report_lines(reports, rows):
+    """Yield the report's lines one at a time: the rows, if any, then each
+    report, then the count of checks run and failed."""
+    if rows:
+        yield "x,true_error,schoenfeld_bound,ratio,signed_error"
+        for r in rows:
+            yield ",".join([str(r.x), *map(_fmt, r[1:])])
+    for rep in reports:
+        params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
+        yield (f"{'PASS' if rep.passed else 'FAIL'} {rep.name} {params} "
+               f"observed={_fmt(rep.observed)} bound={_fmt(rep.bound)} "
+               f"margin={_fmt(rep.margin)}")
+    n_fail = sum(not r.passed for r in reports)
+    yield f"checks: {len(reports)} run, {n_fail} failed"
+
+
 def cmd_verify(args) -> int:
     # compute_B checks --tol, so a bad value fails before any sieving
     bundle = constants.compute_B(args.tol)
@@ -188,32 +205,15 @@ def cmd_verify(args) -> int:
     reports, rows = verifier.run_suite(series, bundle, only=only)
     if not reports:
         raise UsageError("no check applies to these thresholds")
-
-    lines = []
-    if args.wolf_table and rows:
-        lines.append("x,true_error,schoenfeld_bound,ratio,signed_error")
-        for r in rows:
-            lines.append(
-                f"{r.x},{_fmt(r.true_error)},"
-                f"{_fmt(r.schoenfeld_bound)},{_fmt(r.ratio)},"
-                f"{_fmt(r.signed_error)}"
-            )
-    for rep in reports:
-        params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
-        lines.append(
-            f"{'PASS' if rep.passed else 'FAIL'} {rep.name} {params} "
-            f"observed={_fmt(rep.observed)} bound={_fmt(rep.bound)} "
-            f"margin={_fmt(rep.margin)}"
-        )
-    n_fail = sum(not r.passed for r in reports)
-    lines.append(f"checks: {len(reports)} run, {n_fail} failed")
-
-    text = "\n".join(lines) + "\n"
-    if args.report:
-        with accumulators.open_atomic(_out_path(args.report)) as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return EXIT_OK if n_fail == 0 else EXIT_BOUND_FAILED
+    # each line goes to stdout and to the report as it is formatted; the
+    # report replaces its old bytes only once the last line is written
+    with accumulators.open_atomic(_out_path(args.report)) if args.report \
+            else contextlib.nullcontext() as fh:
+        for line in _report_lines(reports, rows if args.wolf_table else []):
+            print(line)
+            if fh:
+                print(line, file=fh)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_BOUND_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ import bisect
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,19 +23,16 @@ from .special import ROUNDING_ALLOWANCE
 TWO_PI_LOG_ROOT = math.log(math.sqrt(2 * math.pi))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     name: str
     params: dict
     observed: float
     bound: float
     margin: float
     passed: bool
-    note: str = ""
 
 
-@dataclass(frozen=True)
-class ErrorTableRow:
+class ErrorTableRow(NamedTuple):
     """One row of the error table at checkpoint x.
 
     signed_error is sum_{p<=x} 1/p - ln ln x - B with B = bundle.B.value
@@ -51,7 +48,7 @@ class ErrorTableRow:
     signed_error: float
 
 
-def _report(name, params, observed, bound, note="", lo=None, hi=None) -> BoundReport:
+def _report(name, params, observed, bound, lo=None, hi=None) -> BoundReport:
     """The verdict that ``observed`` lies in [lo, hi], by default
     [-bound, bound]; pass an infinity for a one-sided bound.  The margin is
     the distance into that interval, and a report passes while it is above
@@ -60,10 +57,8 @@ def _report(name, params, observed, bound, note="", lo=None, hi=None) -> BoundRe
     hi = bound if hi is None else hi
     margin = min(observed - lo, hi - observed)
     allowance = ROUNDING_ALLOWANCE * max(1.0, abs(bound))
-    return BoundReport(
-        name=name, params=params, observed=observed, bound=bound,
-        margin=margin, passed=margin >= -allowance, note=note,
-    )
+    return BoundReport(name, params, observed, bound, margin,
+                       margin >= -allowance)
 
 
 def _upto(p: np.ndarray, x) -> np.ndarray:
@@ -100,26 +95,31 @@ def check_theta(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
             # two-sided band, reported as the distance into the band
             lo, hi = CHEBYSHEV_LOWER * cp.x, CHEBYSHEV_UPPER * cp.x
             reports.append(_report(
-                "chebyshev_band", {"x": cp.x}, cp.theta, hi,
-                note=f"band [{lo:.6g}, {hi:.6g}]", lo=lo, hi=hi,
-            ))
+                "chebyshev_band", {"x": cp.x}, cp.theta, hi, lo=lo, hi=hi))
     return reports
 
 
 # --- chi(x) - chi(x/2) < x ----------------------------------------------
 
-def _chi_roots(x: float) -> list[int]:
-    """floor(x^(1/k)) for k = 1, 2, ... while x^(1/k) >= 2: chi(x) is the
-    sum of theta at these."""
-    roots = (x ** (1.0 / k) for k in itertools.count(1))
-    return [math.floor(r + 1e-12)
-            for r in itertools.takewhile(lambda r: r >= 2.0, roots)]
+def _chi_roots(x: int) -> list[int]:
+    """floor(x^(1/k)) in integers for each k with 2^k <= x, that is, while
+    it is >= 2: chi(x) is the sum of theta at these.  A float root is only
+    a guess: it read 3,124 for the cube root of 5^15."""
+    roots = []
+    for k in range(1, int(x).bit_length()):
+        r = x if k == 1 else math.isqrt(x) if k == 2 else int(x ** (1.0 / k))
+        while r**k > x:
+            r -= 1
+        while (r + 1) ** k <= x:
+            r += 1
+        roots.append(r)
+    return roots
 
 
 def check_chi_inequality(x: int, p: np.ndarray) -> BoundReport:
     if x <= 1:
         raise ValueError(f"x must be > 1, got {x}")
-    up, down = _chi_roots(float(x)), _chi_roots(x / 2.0)
+    up, down = _chi_roots(x), _chi_roots(x // 2)
     roots = sorted({*up, *down})
     p = _upto(p, x)
     # theta at every root, each an exact sum rounded once
@@ -216,10 +216,7 @@ def check_legendre_factorial(n: int, p: np.ndarray) -> BoundReport:
                     for q in _upto(p, n).tolist())
     rhs = _log_factorial(n)
     rel = abs(lhs - rhs) / rhs
-    return _report(
-        "legendre_factorial", {"n": n}, rel, 1e-8,
-        note=f"lhs={lhs!r} rhs={rhs!r}",
-    )
+    return _report("legendre_factorial", {"n": n}, rel, 1e-8)
 
 
 # --- Abel summation identity with pi(x) ---------------------------------
@@ -264,10 +261,7 @@ def check_remainder_identity(G: int, rho: float, p: np.ndarray) -> BoundReport:
     prime_tail = full.value - head
     remainder = prime_tail - n_tail.value
     bound = 4.0 / math.log(G + 1) + 1.0 / (G * math.log(G + 1))
-    return _report(
-        "remainder_bound", {"G": G, "rho": rho}, remainder, bound,
-        note=f"prime_tail={prime_tail!r} integer_tail={n_tail.value!r}",
-    )
+    return _report("remainder_bound", {"G": G, "rho": rho}, remainder, bound)
 
 
 # --- Grossehilfsatz 2 ----------------------------------------------------
@@ -293,9 +287,7 @@ def check_grossehilfsatz2(G: int, rhos: list[float]) -> list[BoundReport]:
     decreasing = all(b < a for a, b in zip(mags, mags[1:]))
     reports.append(BoundReport(
         "grossehilfsatz2_monotone", {"G": G, "rhos": list(rhos)},
-        mags[-1], mags[0], mags[0] - mags[-1], decreasing,
-        note=f"residual magnitudes {mags}",
-    ))
+        mags[-1], mags[0], mags[0] - mags[-1], decreasing))
     rho_min = rhos[-1]
     # 10 * rho * ln G is the engineering allowance for the o(rho) slack
     bound = 1.0 / (G * math.log(G)) + 10.0 * rho_min * math.log(G)
@@ -358,9 +350,7 @@ def mertens_error_table(series: Sequence[SumCheckpoint], bundle: ConstantsBundle
         schoenfeld = (3 * lx + 4) / (8 * math.pi * math.sqrt(x))
         if x >= 2**16:
             rows.append(ErrorTableRow(
-                x=cp.x, true_error=true_err, schoenfeld_bound=schoenfeld,
-                ratio=true_err / schoenfeld, signed_error=signed,
-            ))
+                cp.x, true_err, schoenfeld, true_err / schoenfeld, signed))
         # Mertens (1.2), stated with ln ln [x]: x is an integer, so that is
         # ln ln x, and the delta is ``signed``
         bound_mertens = 4.0 / math.log(x + 1) + 2.0 / (x * lx)
@@ -375,10 +365,8 @@ def mertens_error_table(series: Sequence[SumCheckpoint], bundle: ConstantsBundle
                 "dusart_upper", {"x": cp.x}, signed, width, lo=-math.inf,
             ))
         if x >= SCHOENFELD_MIN_X:
-            reports.append(_report(
-                "schoenfeld_rh", {"x": cp.x}, signed, schoenfeld,
-                note="RH-conditional; empirical observation only",
-            ))
+            # RH-conditional: an empirical observation only, never a proof
+            reports.append(_report("schoenfeld_rh", {"x": cp.x}, signed, schoenfeld))
     return rows, reports
 
 

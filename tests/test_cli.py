@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mertens import accumulators, cli, primes
+from mertens import accumulators, cli, constants, primes, verifier
 from mertens.cli import (
     EXIT_BOUND_FAILED,
     EXIT_OK,
@@ -375,6 +375,33 @@ def test_a_failed_report_write_keeps_the_old_report(tmp_path, monkeypatch, capsy
     assert main(argv[:2] + ["2^17"] + argv[3:]) == EXIT_USAGE
     assert report.read_bytes() == old
     assert sorted(os.listdir(tmp_path)) == ["r.txt"]
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_holds_no_report_text_beside_its_reports():
+    # each line is written as it is formatted: the dense run peaks within
+    # 1 MiB of its rows and reports alone, where the lines and their joined
+    # text took 6.1 MiB more
+    argv = ["verify", "--max", "2^14", "--schedule", "1..2^14:1", "--only", "theta"]
+    bundle = constants.compute_B(1e-12)
+
+    def rows_and_reports():
+        series = list(accumulators.accumulate(2**14, parse_schedule(argv[4], 2**14)))
+        verifier.run_suite(series, bundle, only=["theta"])
+
+    def verify():
+        with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
+            assert main(argv) == EXIT_OK
+
+    assert _traced_peak(verify) - _traced_peak(rows_and_reports) <= 1 << 20
 
 
 # --- parse_scale and parse_schedule: round trips, and exit 2 on bad input --

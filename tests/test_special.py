@@ -179,11 +179,15 @@ class TestExpIntegralE1:
     @pytest.mark.parametrize("x", [
         1e-6, 1e-3, 0.01, 0.01 * math.log(10**4 + 0.5), 0.1 * math.log(1024),
         0.1 * math.log(10**4), 0.5, 1.0,
+        1.0000001, 1.5, 2.0, 3.0, math.log(1024), 0.5 * math.log(1024),
+        math.log(10**4), 0.5 * math.log(10**4),
     ])
     def test_series_bound_covers_its_rounding(self, x):
-        # the arguments of the tails at rho = 0.01 and 0.1; with the
-        # truncation and gamma's bound alone, the bound was 5e-18 against
-        # an error of 2.5e-15 at 1e-6 and of 1.2e-17 at 1
+        # the arguments of the tails at rho = 0.01, 0.1, 0.5 and 1, on both
+        # branches.  With the truncation and gamma's bound alone, the series
+        # bound was 5e-18 against an error of 2.5e-15 at 1e-6 and of 1.2e-17
+        # at 1; in float, the continued fraction's was 8.8e-17 against an
+        # error of 7.5e-16 at 1.0000001
         got = exp_integral_e1(x)
         with mpmath.workdps(40):
             err = abs(mpmath.mpf(got.value) - mpmath.e1(mpmath.mpf(x)))

@@ -59,8 +59,7 @@ class TestGrossehilfsatz1:
 
     def test_pass_flag_recomputable(self, small_series):
         for r in check_grossehilfsatz1(small_series):
-            if not r.note:
-                assert r.passed == (r.bound - abs(r.observed) >= -1e-13 * r.bound)
+            assert r.passed == (r.bound - abs(r.observed) >= -1e-13 * r.bound)
 
 
 class TestTheta:
@@ -101,6 +100,29 @@ class TestChi:
     def test_rejects_one(self, p20):
         with pytest.raises(ValueError):
             check_chi_inequality(1, p20)
+
+    @pytest.mark.parametrize("x", [5**15, 10**12, 2**36])
+    def test_roots_are_exact_where_the_float_root_is_low(self, x):
+        # the float cube roots of these read 3,124, 9,999 and 4,095
+        assert_floor_roots(x, verifier._chi_roots(x))
+        assert verifier._chi_roots(x)[2] == round(x ** (1 / 3))
+
+    def test_roots_at_and_below_every_small_power(self):
+        for m in range(2, 2000):
+            for k in range(1, 6):
+                for x, root in ((m**k, m), (m**k - 1, m - 1)):
+                    roots = verifier._chi_roots(x)
+                    assert_floor_roots(x, roots)
+                    # a root below 2 is not listed
+                    assert roots[k - 1 : k] == [root][: root >= 2]
+
+
+def assert_floor_roots(x: int, roots: list[int]):
+    """roots[k - 1] is floor(x^(1/k)), in integers, for each k with
+    2^k <= x, and there is no other."""
+    assert len(roots) == x.bit_length() - 1
+    for k, r in enumerate(roots, 1):
+        assert r**k <= x < (r + 1) ** k, (x, k, r)
 
 
 def _rounded_once(values: np.ndarray) -> float:
@@ -176,9 +198,9 @@ class TestStirling:
 
 class TestLegendreFactorial:
     def test_examples(self, p20):
-        r10 = check_legendre_factorial(10, p20)
-        assert "15.104412573075516" in r10.note
-        assert r10.passed
+        # ln 10! = 15.104412573075516..., against which the check compares
+        assert verifier._log_factorial(10) == 15.104412573075516
+        assert check_legendre_factorial(10, p20).passed
         assert check_legendre_factorial(2, p20).passed
         assert check_legendre_factorial(10**4, p20).passed
 
