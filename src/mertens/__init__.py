@@ -7,7 +7,7 @@ from .accumulators import (
     write_checkpoints,
 )
 from .constants import ConstantsBundle, H_direct, compute_B, compute_H
-from .primes import legendre_valuation, moebius_up_to, primes_up_to
+from .primes import moebius_up_to, primes_up_to
 from .special import (
     EvaluatedReal,
     euler_gamma,
@@ -29,7 +29,6 @@ __all__ = [
     "compute_H",
     "euler_gamma",
     "exp_integral_e1",
-    "legendre_valuation",
     "load_checkpoints",
     "mertens_error_table",
     "moebius_up_to",

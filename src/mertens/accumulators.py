@@ -204,11 +204,16 @@ def accumulate(
     start = 2
     i = 0  # the next threshold of the schedule to record
     if _resume_from is not None:
+        # every threshold is past the resume row, whose rows precede these
         cp = _resume_from
+        if cp.x > n_max:
+            raise ValueError(f"the last resumed row, x={cp.x}, is past n_max={n_max}")
+        if schedule.size and schedule[0] <= cp.x:
+            raise ValueError(f"threshold {schedule[0]} is at or below the last "
+                             f"resumed row, x={cp.x}, but no resumed row has it")
         pi = cp.pi
         sums = [_units(cp[k]) + _units(cp[k + 1]) for k in (2, 4, 6)]
         start = cp.x + 1
-        i = int(schedule.searchsorted(cp.x, side="right"))
 
     floats, terms = np.empty((2, BLOCK), dtype=np.float64)
 
@@ -270,11 +275,17 @@ def extend(
     rows: Iterable[SumCheckpoint], n_max, schedule, **kwargs
 ) -> Iterator[SumCheckpoint]:
     """Yield ``rows``, then the rows of ``schedule`` past the last of them,
-    resumed from it without recomputing the thresholds it covers."""
-    last = None
+    resumed from it without recomputing the thresholds it covers.  The
+    leading thresholds that are the x of a row are walked beside the rows;
+    ``accumulate`` refuses the rest if one is at or below the last row."""
+    schedule = np.asarray(schedule, dtype=np.int64)
+    ts = iter(schedule)
+    j, t, last = 0, next(ts, None), None
     for last in rows:
+        if t == last.x:
+            j, t = j + 1, next(ts, None)
         yield last
-    yield from accumulate(n_max, schedule, _resume_from=last, **kwargs)
+    yield from accumulate(n_max, schedule[j:], _resume_from=last, **kwargs)
 
 
 def _fmt(v: float) -> str:
@@ -314,17 +325,24 @@ def with_text(rows: Iterable[SumCheckpoint], fmt) -> Iterator[tuple]:
         yield c, text
 
 
-def write_checkpoints(rows: Iterable[SumCheckpoint], path) -> int:
+def _fields(c: SumCheckpoint) -> tuple[list[str], str]:
+    """The file's columns of row ``c`` after x, and their joined text."""
+    fields = [str(c.pi), *map(_fmt, c[2:])]
+    return fields, ",".join(fields)
+
+
+def write_checkpoints(rows: Iterable[SumCheckpoint], path, echo=None) -> int:
     """Write ``rows`` to a checkpoint file at ``path``, each as it arrives,
-    and return how many there were.  ``path`` is replaced only once the
-    last row is written: if ``rows`` or the write raises, it keeps its
-    old bytes."""
+    and return how many there were; ``echo(row, fields)``, if given, gets
+    each row and the strings of its line after x.  ``path`` is replaced only
+    once the last row is written: if anything raises, it keeps its old bytes."""
     n = 0
     with open_atomic(path) as fh:
         fh.write(FILE_HEADER + "\n")
-        rows = with_text(rows, lambda c: ",".join([str(c.pi), *map(_fmt, c[2:])]))
-        for n, (c, text) in enumerate(rows, 1):
+        for n, (c, (fields, text)) in enumerate(with_text(rows, _fields), 1):
             fh.write(f"{c.x},{text}\n")
+            if echo:
+                echo(c, fields)
     return n
 
 

@@ -126,17 +126,6 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _printed(rows):
-    """Yield ``rows``, printing each one as it passes."""
-    def fields(cp):
-        return (f"pi={cp.pi} recip={_fmt(cp.recip_sum)} "
-                f"logp_over_p={_fmt(cp.logp_over_p)} theta={_fmt(cp.theta)}")
-
-    for cp, text in accumulators.with_text(rows, fields):
-        print(f"x={cp.x} {text}")
-        yield cp
-
-
 def cmd_sums(args) -> int:
     n_max = parse_scale(args.max)
     # before the schedule, whose length can grow with --max
@@ -145,9 +134,11 @@ def cmd_sums(args) -> int:
     path = _out_path(args.checkpoints)
     old = accumulators.load_checkpoints(path) \
         if args.resume and os.path.exists(path) else []
-    # each row goes to stdout and to the file as it is read or sieved
+    # each row goes to the file as it is read or sieved, and to stdout from
+    # its file columns after x: pi and the three *_sum at 0, 1, 3 and 5
     rows = accumulators.extend(old, n_max, schedule, force=args.force)
-    n = accumulators.write_checkpoints(_printed(rows), path)
+    n = accumulators.write_checkpoints(rows, path, echo=lambda cp, f: print(
+        f"x={cp.x} pi={f[0]} recip={f[1]} logp_over_p={f[3]} theta={f[5]}"))
     print(f"wrote {n} checkpoints to {path}")
     return EXIT_OK
 

@@ -140,15 +140,6 @@ def moebius_up_to(n: int) -> list[int]:
     return values.tolist()
 
 
-def legendre_valuation(n: int, p: int) -> int:
-    """Exponent of the prime p in n!."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p={p} is not prime")
-    return _valuation(n, p)
-
-
 def _valuation(n: int, p: int) -> int:
     """Exponent of p in n!, for a p known to be prime (Legendre's formula)."""
     total = 0

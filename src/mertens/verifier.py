@@ -211,7 +211,7 @@ def check_stirling(x: float) -> list[BoundReport]:
 def check_legendre_factorial(n: int, p: np.ndarray) -> BoundReport:
     if not 2 <= n <= 10**6:
         raise ValueError(f"n must be in [2, 10^6], got {n}")
-    # the primes are sieved, so they skip legendre_valuation's primality test
+    # _valuation takes q as prime, and every q here is sieved
     lhs = math.fsum(primes._valuation(n, q) * math.log(q)
                     for q in _upto(p, n).tolist())
     rhs = _log_factorial(n)

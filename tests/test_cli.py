@@ -598,7 +598,7 @@ def test_a_dense_schedule_formats_each_distinct_row_once(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "_fmt", counted("stdout", cli._fmt))
     assert main(["sums", "--max", "3000", "--schedule", "1..3000:1",
                  "--checkpoints", str(path)]) == EXIT_OK
-    assert calls == {"file": 6 * 431, "stdout": 3 * 431}
+    assert calls == {"file": 6 * 431, "stdout": 0}
     monkeypatch.undo()
     f = accumulators._fmt
     lines = path.read_text().splitlines()
@@ -609,3 +609,48 @@ def test_a_dense_schedule_formats_each_distinct_row_once(tmp_path, monkeypatch, 
     out = capsys.readouterr().out.splitlines()
     assert out[:-1] == [f"x={c.x} pi={c.pi} recip={f(c.recip_sum)} "
                         f"logp_over_p={f(c.logp_over_p)} theta={f(c.theta)}" for c in rows]
+
+
+def test_each_stdout_row_prints_its_file_columns(tmp_path, capsys):
+    # a residual of 0.0 or -0.0 prints differently, so a dense schedule
+    # whose zero residuals flip sign from one x to the next makes the rows
+    # that repeat a pi be formatted again; sums resumes from it to 3000
+    path = tmp_path / "cp.csv"
+    comps = ("recip_comp", "logp_comp", "theta_comp")
+    rows = [c._replace(**{k: -0.0 for k in comps if c.x % 2 and getattr(c, k) == 0})
+            for c in accumulators.accumulate(1500, range(1, 1501))]
+    accumulators.write_checkpoints(rows, path)
+    assert main(["sums", "--max", "3000", "--schedule", "1..3000:1", "--resume",
+                 "--checkpoints", str(path)]) == EXIT_OK
+    lines = path.read_text().splitlines()[1:]
+    # x = 3 and 4 both have pi = 2, and a logp_comp of -0.0 and 0.0
+    assert [line.split(",")[5] for line in lines[2:4]] == [
+        "-0.0000000000000000E+00", "0.0000000000000000E+00"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"wrote 3000 checkpoints to {path}"
+    for line, printed in zip(lines, out[:-1], strict=True):
+        x, pi, recip, _, logp, _, theta, _ = line.split(",")
+        assert printed == f"x={x} pi={pi} recip={recip} logp_over_p={logp} theta={theta}"
+
+
+@pytest.mark.parametrize("first, resume, named", [
+    # the file lacks 2^18, 2^19 and 3 * 2^18, below its last row at 2^20
+    (["--max", "2^20", "--schedule", "2^20"],
+     ["--max", "2^21", "--schedule", "2^18..2^21:2^18"],
+     ["threshold 262144", "x=1048576"]),
+    # the file's last row is past --max
+    (["--max", "2^20", "--schedule", "2^18..2^20:2^18"],
+     ["--max", "2^19", "--schedule", "2^18..2^19:2^18"],
+     ["x=1048576", "n_max=524288"]),
+], ids=["a-threshold-the-file-lacks", "a-row-past-max"])
+def test_a_resume_that_would_drop_rows_keeps_the_old_file(
+        first, resume, named, tmp_path, capsys):
+    path = tmp_path / "cp.csv"
+    assert main(["sums", *first, "--checkpoints", str(path)]) == EXIT_OK
+    old = path.read_bytes()
+    capsys.readouterr()
+    assert main(["sums", *resume, "--resume", "--checkpoints", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(text in err for text in named), err
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["cp.csv"]
