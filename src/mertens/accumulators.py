@@ -181,14 +181,14 @@ def accumulate(
     """Stream primes once and yield all four sums at each threshold.
 
     ``schedule`` is an ascending sequence of integer thresholds <= n_max,
-    taken as one int64 array; it is checked when the first row is asked
-    for.  Each row is yielded as soon as the primes up to its threshold
-    are summed, and none is kept, so the rows take no memory that grows
-    with the schedule.  Each segment's primes are summed in passes over
-    blocks of at most BLOCK of them, each pass one ``exact_sum`` call per
-    sum, cut at up to CUTS thresholds inside the block, so a block with at
-    most CUTS thresholds costs three calls however many it has, and no list
-    of a pass is longer than CUTS + 1.
+    taken as one int64 array and checked when the first row is asked for;
+    the stream stops at its last threshold.  Each row is yielded as soon as
+    the primes up to its threshold are summed, and none is kept, so the rows
+    take no memory that grows with the schedule.  Each segment's primes are
+    summed in passes over blocks of at most BLOCK of them, each pass one
+    ``exact_sum`` call per sum, cut at up to CUTS thresholds inside the
+    block, so a block with at most CUTS thresholds costs three calls however
+    many it has, and no list of a pass is longer than CUTS + 1.
     """
     n_max = int(n_max)
     check_budget(n_max, force)
@@ -222,7 +222,9 @@ def accumulate(
         vals = [v for s in sums for v in _split(s)] if len(xs) else []
         return [SumCheckpoint(x, pi, *vals) for x in xs.tolist()]
 
-    for seg in primes.iter_segments(n_max, segment_size, start):
+    # no row needs a prime past the last threshold, whatever n_max is
+    top = int(schedule[-1]) if schedule.size else 0
+    for seg in primes.iter_segments(top, segment_size, start):
         rest = seg.primes()
         while len(rest):
             # a pass takes the next block of at most BLOCK primes; the
@@ -350,7 +352,8 @@ def load_checkpoints(path) -> Iterator[SumCheckpoint]:
     """Yield the rows of the checkpoint file at ``path`` line by line, each once
     it is checked against the row before: a bad row raises when reached."""
     names = SumCheckpoint._fields
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte reads as a surrogate, refused with its line and field
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         if fh.readline().rstrip("\n") != FILE_HEADER:
             raise CheckpointFormatError(1, "header", f"expected {FILE_HEADER!r}")
         prev = _NO_PRIMES

@@ -86,7 +86,10 @@ def check_prime_limit(prime_limit: int) -> int:
     BudgetError past the desk-scale budget."""
     if prime_limit < 10**3:
         raise ValueError(f"prime_limit must be >= 1000, got {prime_limit}")
-    accumulators.check_budget(prime_limit)
+    if prime_limit > accumulators.MAX_DEFAULT_LIMIT:
+        raise accumulators.BudgetError(
+            f"prime_limit={prime_limit} exceeds the desk-scale budget "
+            f"{accumulators.MAX_DEFAULT_LIMIT}")
     return prime_limit
 
 

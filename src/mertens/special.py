@@ -2,9 +2,9 @@
 
 Every evaluation returns an EvaluatedReal: the value plus a rigorous
 absolute bound on the truncation error.  Truncation bounds deliberately
-exclude floating-point rounding, except those of euler_gamma and of E1, on
-both its branches, which cover it; callers that need a total allowance add
-ROUNDING_ALLOWANCE (relative) on top.
+exclude floating-point rounding, except those of euler_gamma and E1, which
+work in 40-digit decimal, round once and cover it; callers that need a total
+allowance add ROUNDING_ALLOWANCE (relative) on top.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def euler_gamma(N: int = 64) -> EvaluatedReal:
     1/t is completely monotone, so R lies between 0 and the B18 term (9.4e-33
     at N = 64).  The corrections are one exact Fraction.  Each of the 2N + 2
     decimal operations errs by at most half a unit in the 40th digit of a
-    result below ln N + 3.  err_bound adds R's bound, those errors and
-    |fl(gamma) - gamma_decimal|, rounded up, so it covers the rounding.
+    result below ln N + 3.  err_bound adds R's bound, those errors and the
+    final rounding, so it covers the rounding.
     """
     if not isinstance(N, (int, np.integer)) or N < 1:
         raise DomainError(f"euler_gamma requires an integer N >= 1, got {N!r}")
@@ -131,60 +131,54 @@ def euler_gamma(N: int = 64) -> EvaluatedReal:
         harmonic = sum(map(decimal.Decimal(1).__truediv__, range(1, N)))
         gamma = (harmonic + decimal.Decimal(corr.numerator) / corr.denominator
                  - decimal.Decimal(N).ln())
-    value = float(gamma)
-    err = (_BERNOULLI[18] / (18 * N**18) + abs(Fraction(value) - Fraction(gamma))
-           + Fraction((N + 1) * (math.log(N) + 3)) / 10**39)
+    return _rounded(gamma, _BERNOULLI[18] / (18 * N**18)
+                    + Fraction((N + 1) * (math.log(N) + 3)) / 10**39)
+
+
+def _rounded(exact: decimal.Decimal, bound: Fraction) -> EvaluatedReal:
+    """``exact`` rounded once to a float; err_bound adds |fl - exact| to
+    ``bound``, exact's own distance from the true value, rounded up."""
+    value = float(exact)
+    err = abs(Fraction(value) - Fraction(exact)) + bound
     return EvaluatedReal(value, math.nextafter(float(err), math.inf))
 
 
+@lru_cache(maxsize=32)
 def exp_integral_e1(x: float) -> EvaluatedReal:
-    """E1(x) = integral of exp(-t)/t from x to infinity, x > 0.
+    """E1(x) = integral of exp(-t)/t from x to infinity, x > 0, in 40-digit
+    decimal on both branches, rounded once.
 
-    Convergent series for x <= 1, modified-Lentz continued fraction for
-    x > 1; both standard two-regime evaluations.
+    x <= 1: -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k k!) (DLMF 6.6.2),
+    from gamma's float, exact as a Decimal, until a term is below 1e-32;
+    the terms alternate and fall, so that term bounds the rest.  Each
+    operation errs by at most half a unit in the 40th digit of a result below
+    M = |ln x| + 2, and x/k <= 1 shrinks the error carried in x^k/k!
+    (at most 1), so the K terms made and the 3 steps before them err by at
+    most 1.5 (K + 1) M 10^-39.  err_bound adds gamma's bound, the omitted
+    term, that error and the rounding.
+
+    x > 1: modified Lentz on exp(-x) / (x + 1 - 1/(x + 3 - 4/(...))) to
+    |delta - 1| < 1e-32, 349 terms at x = 1.0000001 and 63 at ln 1024.
+    err_bound adds 1e-30 of E1 and the rounding: from there to x = 50 the
+    value lay within 8.5e-32 of 60-digit mpmath.e1, relative.  The
+    remainder checks ask for 4 values 8 times: hence the cache.
     """
     if x <= 0:
         raise DomainError(f"E1 requires x > 0, got {x}")
-    if x <= 1.0:
-        return _e1_series(x)
-    return _e1_continued_fraction(x)
-
-
-def _e1_series(x: float) -> EvaluatedReal:
-    # E1(x) = -gamma - ln x + sum_{k>=1} (-1)^(k+1) x^k / (k * k!).  Besides
-    # the truncation and gamma's bound, err_bound covers the rounding: ln x
-    # within 1 ulp, half an ulp for -gamma - ln x and each partial sum, and
-    # 2k + 1 roundings for the k-th term, times a slack for the first-order
-    # error terms left out and for the bound's own arithmetic
-    gamma = euler_gamma()
-    ln = math.log(x)
-    acc = -gamma.value - ln
-    rounding = 2 * abs(ln) + abs(acc)
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= -x / k
-        contrib = -term / k
-        acc += contrib
-        rounding += (2 * k + 1) * abs(contrib) + abs(acc)
-        if abs(contrib) < 1e-18 * max(abs(acc), 1e-300) or k > 200:
-            break
-    err = abs(term / (k + 1)) + gamma.err_bound + rounding * 2.0**-53
-    return EvaluatedReal(acc, err * (1 + 2.0**-20))
-
-
-@lru_cache(maxsize=8)
-def _e1_continued_fraction(x: float) -> EvaluatedReal:
-    # Modified Lentz on E1(x) = exp(-x) / (x + 1 - 1/(x + 3 - 4/(...))), in
-    # 40-digit decimal to |delta - 1| < 1e-32, rounded once: 349 terms at
-    # x = 1.0000001, 63 at ln 1024.  From there to x = 50 the decimal value
-    # was within 8.5e-32 of 60-digit mpmath.e1, relative.  err_bound is
-    # |fl(E1) - E1_decimal| plus 1e-30 of E1, rounded up, so it covers the
-    # rounding.  The remainder checks ask for 4 values 8 times: hence the cache
     D = decimal.Decimal
     with decimal.localcontext(decimal.Context(prec=40)):
         eps = D("1e-32")
+        if x <= 1.0:
+            gamma = euler_gamma()
+            e1 = -D(gamma.value) - D(x).ln()
+            power = D(1)
+            for k in itertools.count(1):
+                power = power * D(x) / k
+                if (term := power / k) < eps:
+                    break
+                e1 += term if k % 2 else -term
+            work = Fraction(3 * (k + 1) * (abs(math.log(x)) + 2)) / (2 * 10**39)
+            return _rounded(e1, Fraction(gamma.err_bound) + Fraction(term) + work)
         b = D(x) + 1
         c, d = D(10) ** 300, 1 / b
         h = d
@@ -197,9 +191,7 @@ def _e1_continued_fraction(x: float) -> EvaluatedReal:
             if abs(delta - 1) < eps:
                 break
         e1 = (-D(x)).exp() * h
-    value = float(e1)
-    err = abs(Fraction(value) - Fraction(e1)) + Fraction(e1) / 10**30
-    return EvaluatedReal(value, math.nextafter(float(err), math.inf))
+    return _rounded(e1, Fraction(e1) / 10**30)
 
 
 def _tail_f(n, rho):

@@ -2,7 +2,7 @@
 
 Each check returns BoundReports: claimed bound, observed value, margin,
 pass/fail.  A report's verdict is always recomputable from (observed,
-bound) alone, up to the documented rounding allowance.
+bound) alone: it passes iff its margin is at least 0.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from . import accumulators, primes, special
 from .accumulators import CUTS, SumCheckpoint, _round_once
 from .constants import ConstantsBundle
-from .special import ROUNDING_ALLOWANCE
 
 TWO_PI_LOG_ROOT = math.log(math.sqrt(2 * math.pi))
 
@@ -38,7 +37,8 @@ class ErrorTableRow(NamedTuple):
     signed_error is sum_{p<=x} 1/p - ln ln x - B with B = bundle.B.value
     and no offset; true_error is |signed_error|; ratio is
     true_error / schoenfeld_bound.  Both errors are uncertain by
-    bundle.B.err_bound plus ROUNDING_ALLOWANCE * max(1, sum 1/p).
+    bundle.B.err_bound plus the float rounding of sum 1/p, of ln ln x and
+    of the two subtractions: a few ulps of sum 1/p.
     """
 
     x: int
@@ -51,14 +51,12 @@ class ErrorTableRow(NamedTuple):
 def _report(name, params, observed, bound, lo=None, hi=None) -> BoundReport:
     """The verdict that ``observed`` lies in [lo, hi], by default
     [-bound, bound]; pass an infinity for a one-sided bound.  The margin is
-    the distance into that interval, and a report passes while it is above
-    -ROUNDING_ALLOWANCE * max(1, |bound|)."""
+    the distance into that interval, and a report passes iff it is at
+    least 0: a bound that fails by any amount fails."""
     lo = -bound if lo is None else lo
     hi = bound if hi is None else hi
     margin = min(observed - lo, hi - observed)
-    allowance = ROUNDING_ALLOWANCE * max(1.0, abs(bound))
-    return BoundReport(name, params, observed, bound, margin,
-                       margin >= -allowance)
+    return BoundReport(name, params, observed, bound, margin, margin >= 0)
 
 
 def _upto(p: np.ndarray, x) -> np.ndarray:

@@ -108,6 +108,17 @@ def test_resume_matches_single_run():
     assert extended == full
 
 
+def test_a_stream_sieves_no_further_than_its_last_threshold(sieved):
+    # n_max bounds the schedule; no row needs a prime past 2^10
+    rows = list(accumulate(2**20, [2**10]))
+    assert max(c.hi for c in sieved) <= 2**10 + 1
+    assert rows == list(accumulate(2**10, [2**10]))
+    # a resume that adds no threshold has nothing to sieve
+    sieved.clear()
+    assert list(accumulators.extend(rows, 2**20, [2**10])) == rows
+    assert sieved == []
+
+
 def test_resume_sieves_only_from_the_resume_segment(sieved):
     n_max, size = 10**5, 2**10
     schedule = list(range(1000, n_max + 1, 1000))
@@ -190,6 +201,20 @@ class TestCheckpointFile:
             list(load_checkpoints(path))
         assert exc.value.line == 2
         assert exc.value.field == "logp_over_p"
+
+    @pytest.mark.parametrize("line, field, text", [
+        (1, "header", accumulators.FILE_HEADER.encode() + b"\xe9"),
+        (2, "recip_sum", b"10,4,1.0\xe9,0.0,1.0,0.0,5.0,0.0"),
+        # an Arabic-Indic one, a digit to int() once decoded as UTF-8
+        (2, "x", "\u0661\u0660,4,1.0,0.0,1.0,0.0,5.0,0.0".encode()),
+    ])
+    def test_a_non_ascii_byte_names_its_line_and_field(self, line, field, text, tmp_path):
+        path = tmp_path / "cp.csv"
+        rows = text if line == 1 else accumulators.FILE_HEADER.encode() + b"\n" + text
+        path.write_bytes(rows + b"\n")
+        with pytest.raises(CheckpointFormatError) as exc:
+            list(load_checkpoints(path))
+        assert (exc.value.line, exc.value.field) == (line, field)
 
     @pytest.mark.parametrize("field, raw", [
         ("recip_comp", "nan"),

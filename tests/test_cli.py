@@ -150,6 +150,13 @@ class TestConstants:
         assert "exceeds the desk-scale budget" in capsys.readouterr().err
 
 
+    def test_a_prime_limit_over_budget_is_named_as_such(self, capsys):
+        # constants takes no --force, and its limit is no n_max
+        assert main(["constants", "--oracle", "--prime-limit", "2^35"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"prime_limit={2**35} exceeds the desk-scale budget" in err
+        assert "n_max" not in err and "force" not in err
+
     @pytest.mark.parametrize("argv", [
         ["--prime-limit", "abc"],
         ["--oracle", "--prime-limit", "abc"],
@@ -234,6 +241,14 @@ class TestVerify:
             rc = main(["verify", "--checkpoints", str(path)])
             assert rc == EXIT_USAGE, row
             assert "line 2" in capsys.readouterr().err
+
+    def test_a_non_ascii_byte_in_a_checkpoint_file_names_its_line_and_field(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "cp.csv"
+        path.write_bytes(b"mertens-checkpoints v1\n100,25,1.8\xe9,0.0,3.5,0.0,0.0,0.0\n")
+        assert main(["verify", "--checkpoints", str(path)]) == EXIT_USAGE
+        assert "line 2, field 'recip_sum'" in capsys.readouterr().err
 
     def test_loads_existing_checkpoints(self, tmp_path, capsys):
         path = tmp_path / "cp.csv"

@@ -194,9 +194,34 @@ class TestExpIntegralE1:
         assert err <= got.err_bound
 
     def test_branches_agree_at_switchover(self):
-        a = special._e1_series(1.0).value
-        b = special._e1_continued_fraction(1.0).value
+        # 1.0 takes the series, the next float the continued fraction
+        a = exp_integral_e1(1.0).value
+        b = exp_integral_e1(math.nextafter(1.0, 2)).value
         assert abs(a - b) < 1e-12
+
+    def test_series_bound_is_derived_and_tight(self, monkeypatch):
+        # 60 points from 1e-8 to 1, and every argument of the suite's tails
+        # at most 1: each value lies within its bound of 50-digit mpmath.e1,
+        # and the bound is no looser than the rounding, gamma's bound and
+        # 1e-30 for the truncation and the decimal working error
+        args = []
+
+        def spy(x):
+            args.append(x)
+            return exp_integral_e1(x)
+
+        monkeypatch.setattr(special, "exp_integral_e1", spy)
+        verifier.run_suite([], None, only=["remainder", "grossehilfsatz2"])
+        xs = [10.0 ** (-8 + 8 * i / 59) for i in range(60)]
+        xs += sorted({x for x in args if x <= 1})
+        assert len(xs) == 65
+        gamma = euler_gamma().err_bound
+        for x in xs:
+            got = exp_integral_e1(x)
+            with mpmath.workdps(50):
+                err = abs(mpmath.mpf(got.value) - mpmath.e1(mpmath.mpf(x)))
+            assert err <= got.err_bound, x
+            assert got.err_bound <= math.ulp(got.value) / 2 + gamma + 1e-30, x
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -399,3 +399,10 @@ def test_the_remainder_checks_sum_at_most_2_10_terms_each(monkeypatch):
     reports, _ = verifier.run_suite([], None, only=["remainder"])
     assert len(reports) == 12
     assert sum(terms) <= 12 * 2**10 + 12
+
+
+def test_a_report_passes_iff_its_margin_is_not_negative():
+    # a bound that fails by 1e-14 fails: no allowance forgives it
+    assert not verifier._report("t", {}, 1.0 + 1e-14, 1.0).passed
+    assert verifier._report("t", {}, 1.0, 1.0).passed
+    assert not verifier._report("t", {}, -1e-300, 0.0, lo=0.0).passed
