@@ -160,6 +160,11 @@ class SumCheckpoint(NamedTuple):
     theta_comp: float
 
 
+# The sums before the first prime: every first row follows them, and a
+# fresh stream goes on from them.
+_NO_PRIMES = SumCheckpoint(-1, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 def check_budget(n_max: int, force: bool = False) -> None:
     """Raise BudgetError if a stream to ``n_max`` exceeds the desk-scale
     budget and ``force`` is not set.  The CLI calls it before it builds a
@@ -176,16 +181,21 @@ def accumulate(
     schedule,
     segment_size=primes.DEFAULT_SEGMENT_SIZE,
     force=False,
-    _resume_from: SumCheckpoint | None = None,
+    rows: Iterable[SumCheckpoint] = (),
 ) -> Iterator[SumCheckpoint]:
-    """Stream primes once and yield all four sums at each threshold.
+    """Yield ``rows``, then all four sums at each threshold past the last
+    of them, from one pass over the primes.
 
     ``schedule`` is an ascending sequence of integer thresholds <= n_max,
-    taken as one int64 array and checked when the first row is asked for;
-    the stream stops at its last threshold.  Each row is yielded as soon as
-    the primes up to its threshold are summed, and none is kept, so the rows
-    take no memory that grows with the schedule.  Each segment's primes are
-    summed in passes over blocks of at most BLOCK of them, each pass one
+    taken as one int64 array and checked when the first row is asked for.
+    ``rows``, such as a checkpoint file being resumed, are rows of this
+    stream in order: the leading thresholds that are the x of a row are
+    walked beside them, the rest must lie past the last row, and the sums
+    go on from it, or from ``_NO_PRIMES`` when there is none.  The stream
+    stops at its last threshold.  Each row is yielded as soon as the primes
+    up to its threshold are summed, and none is kept, so the rows take no
+    memory that grows with the schedule.  Each segment's primes are summed
+    in passes over blocks of at most BLOCK of them, each pass one
     ``exact_sum`` call per sum, cut at up to CUTS thresholds inside the
     block, so a block with at most CUTS thresholds costs three calls however
     many it has, and no list of a pass is longer than CUTS + 1.
@@ -198,22 +208,19 @@ def accumulate(
     if schedule.size and schedule[-1] > n_max:
         raise ValueError(f"schedule exceeds n_max={n_max}")
 
-    pi = 0
+    i, last = 0, _NO_PRIMES  # i: the next threshold of the schedule to record
+    for last in rows:
+        if i < schedule.size and schedule[i] == last.x:
+            i += 1
+        yield last
+    if last.x > n_max:
+        raise ValueError(f"the last resumed row, x={last.x}, is past n_max={n_max}")
+    if i < schedule.size and schedule[i] <= last.x:
+        raise ValueError(f"threshold {schedule[i]} is at or below the last "
+                         f"resumed row, x={last.x}, but no resumed row has it")
+    pi = last.pi
     # exact running sums of 1/p, ln(p)/p and ln p, counting 2^-UNIT_BITS
-    sums = [0] * 3
-    start = 2
-    i = 0  # the next threshold of the schedule to record
-    if _resume_from is not None:
-        # every threshold is past the resume row, whose rows precede these
-        cp = _resume_from
-        if cp.x > n_max:
-            raise ValueError(f"the last resumed row, x={cp.x}, is past n_max={n_max}")
-        if schedule.size and schedule[0] <= cp.x:
-            raise ValueError(f"threshold {schedule[0]} is at or below the last "
-                             f"resumed row, x={cp.x}, but no resumed row has it")
-        pi = cp.pi
-        sums = [_units(cp[k]) + _units(cp[k + 1]) for k in (2, 4, 6)]
-        start = cp.x + 1
+    sums = [_units(last[k]) + _units(last[k + 1]) for k in (2, 4, 6)]
 
     floats, terms = np.empty((2, BLOCK), dtype=np.float64)
 
@@ -223,8 +230,8 @@ def accumulate(
         return [SumCheckpoint(x, pi, *vals) for x in xs.tolist()]
 
     # no row needs a prime past the last threshold, whatever n_max is
-    top = int(schedule[-1]) if schedule.size else 0
-    for seg in primes.iter_segments(top, segment_size, start):
+    top = int(schedule[-1]) if i < schedule.size else 0
+    for seg in primes.iter_segments(top, segment_size, max(2, last.x + 1)):
         rest = seg.primes()
         while len(rest):
             # a pass takes the next block of at most BLOCK primes; the
@@ -273,23 +280,6 @@ def range_sum(f, a: int, b: int) -> float:
     return _round_once(total)
 
 
-def extend(
-    rows: Iterable[SumCheckpoint], n_max, schedule, **kwargs
-) -> Iterator[SumCheckpoint]:
-    """Yield ``rows``, then the rows of ``schedule`` past the last of them,
-    resumed from it without recomputing the thresholds it covers.  The
-    leading thresholds that are the x of a row are walked beside the rows;
-    ``accumulate`` refuses the rest if one is at or below the last row."""
-    schedule = np.asarray(schedule, dtype=np.int64)
-    ts = iter(schedule)
-    j, t, last = 0, next(ts, None), None
-    for last in rows:
-        if t == last.x:
-            j, t = j + 1, next(ts, None)
-        yield last
-    yield from accumulate(n_max, schedule[j:], _resume_from=last, **kwargs)
-
-
 def _fmt(v: float) -> str:
     # 17 significant digits: binary64 round-trips exactly.
     return f"{v:.16E}"
@@ -315,33 +305,22 @@ def open_atomic(path):
             os.remove(tmp)
 
 
-def with_text(rows: Iterable[SumCheckpoint], fmt) -> Iterator[tuple]:
-    """Yield each row with ``fmt(row)``, which is called again only when pi
-    or a real differs, bit for bit, from the row before: most rows of a
-    dense schedule repeat the sums of the row before."""
-    key = text = None
-    for c in rows:
-        now = struct.pack("q6d", *c[1:])
-        if now != key:
-            key, text = now, fmt(c)
-        yield c, text
-
-
-def _fields(c: SumCheckpoint) -> tuple[list[str], str]:
-    """The file's columns of row ``c`` after x, and their joined text."""
-    fields = [str(c.pi), *map(_fmt, c[2:])]
-    return fields, ",".join(fields)
-
-
 def write_checkpoints(rows: Iterable[SumCheckpoint], path, echo=None) -> int:
     """Write ``rows`` to a checkpoint file at ``path``, each as it arrives,
     and return how many there were; ``echo(row, fields)``, if given, gets
-    each row and the strings of its line after x.  ``path`` is replaced only
-    once the last row is written: if anything raises, it keeps its old bytes."""
-    n = 0
+    each row and the strings of its line after x.  A row is formatted only
+    when pi or a real differs, bit for bit, from the row before; a row that
+    repeats them, as most rows of a dense schedule do, is written and
+    echoed with the same strings.  ``path`` is replaced only once the last
+    row is written: if anything raises, it keeps its old bytes."""
+    n, key = 0, None
     with open_atomic(path) as fh:
         fh.write(FILE_HEADER + "\n")
-        for n, (c, (fields, text)) in enumerate(with_text(rows, _fields), 1):
+        for n, c in enumerate(rows, 1):
+            now = struct.pack("q6d", *c[1:])
+            if now != key:
+                key, fields = now, [str(c.pi), *map(_fmt, c[2:])]
+                text = ",".join(fields)
             fh.write(f"{c.x},{text}\n")
             if echo:
                 echo(c, fields)
@@ -375,10 +354,6 @@ def load_checkpoints(path) -> Iterator[SumCheckpoint]:
             _check_row(ln, cp, prev)
             yield cp
             prev = cp
-
-
-# The sums before the first prime, which every first row must follow.
-_NO_PRIMES = SumCheckpoint(-1, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _check_row(ln: int, cp: SumCheckpoint, prev: SumCheckpoint) -> None:

@@ -1,6 +1,7 @@
 """Command-line surface: run sieves, compute constants, verify bounds.
 
-Exit codes: 0 all pass, 1 a bound check failed, 2 usage or I/O error.
+Exit codes: 0 all pass, 1 a bound check failed, 2 usage or I/O error,
+143 ended by SIGTERM, which removes any temporary output file first.
 Identical configurations produce byte-identical output files.
 """
 
@@ -11,6 +12,7 @@ import contextlib
 import gc
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -26,9 +28,9 @@ OUTPUT_DIR_ENV = "MERTENS_OUT_DIR"
 
 POW2_FIRST = 16
 # The most thresholds a schedule may have.  sums streams its rows and holds 8
-# bytes a threshold, but verify holds a row and its reports, about 0.9 kB a
-# threshold: verify --only theta to 2^14, 2^16 and 2^18, every 1, peaked at
-# 39.0, 75.1 and 251.0 MB; 2^20 thresholds would take about 1 GB.
+# bytes a threshold, but the full verify suite holds a row and its reports,
+# about 3.1 kB a threshold: every threshold to 2^12, 2^14 and 2^16 peaked at
+# 41.6, 77.0 and 235.5 MB, so 2^20 thresholds would take about 3.3 GB.
 MAX_CHECKPOINTS = 1 << 20
 # --workers is accepted so that existing command lines keep working.  It has
 # no effect until the process pool of ROADMAP item 8 lands.
@@ -126,17 +128,22 @@ def _out_path(path: str) -> str:
     return path
 
 
-def cmd_sums(args) -> int:
+def _stream(args, rows=()):
+    """The stream of ``--max`` and ``--schedule``, going on from ``rows``."""
     n_max = parse_scale(args.max)
     # before the schedule, whose length can grow with --max
     accumulators.check_budget(n_max, args.force)
     schedule = parse_schedule(args.schedule, n_max)
+    return accumulators.accumulate(n_max, schedule, force=args.force, rows=rows)
+
+
+def cmd_sums(args) -> int:
     path = _out_path(args.checkpoints)
     old = accumulators.load_checkpoints(path) \
-        if args.resume and os.path.exists(path) else []
+        if args.resume and os.path.exists(path) else ()
     # each row goes to the file as it is read or sieved, and to stdout from
     # its file columns after x: pi and the three *_sum at 0, 1, 3 and 5
-    rows = accumulators.extend(old, n_max, schedule, force=args.force)
+    rows = _stream(args, old)
     n = accumulators.write_checkpoints(rows, path, echo=lambda cp, f: print(
         f"x={cp.x} pi={f[0]} recip={f[1]} logp_over_p={f[3]} theta={f[5]}"))
     print(f"wrote {n} checkpoints to {path}")
@@ -163,10 +170,7 @@ def _series_for_verify(args):
         return list(accumulators.load_checkpoints(_out_path(args.checkpoints)))
     if not args.max:
         raise UsageError("verify needs --max or an existing --checkpoints file")
-    n_max = parse_scale(args.max)
-    accumulators.check_budget(n_max, args.force)
-    schedule = parse_schedule(args.schedule, n_max)
-    rows = list(accumulators.accumulate(n_max, schedule, force=args.force))
+    rows = list(_stream(args))
     if args.checkpoints:
         accumulators.write_checkpoints(rows, _out_path(args.checkpoints))
     return rows
@@ -251,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # SIGTERM exits through Python, so open_atomic removes its temporary
+    # file and the target keeps its old bytes; the exit status is 143.
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     # Move the import heap to the permanent generation, so that neither the
     # collections of this run nor those at interpreter exit scan it again.
     # Here and not at import, so importing mertens leaves gc as it was.

@@ -9,7 +9,7 @@ powers, sieve-free, bounded for its rounding and every omitted term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import accumulators, floorsums, primes, special
 from .special import EvaluatedReal
@@ -28,14 +28,7 @@ class ConstantsBundle:
     tail_bound: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "mertens-constants v1",
-            "gamma": {"value": self.gamma.value, "err_bound": self.gamma.err_bound},
-            "H": {"value": self.H.value, "err_bound": self.H.err_bound},
-            "B": {"value": self.B.value, "err_bound": self.B.err_bound},
-            "term_ledger": [list(t) for t in self.term_ledger],
-            "tail_bound": self.tail_bound,
-        }
+        return {"schema": "mertens-constants v1", **asdict(self)}
 
 
 def _series_cutoff(tol: float) -> int:

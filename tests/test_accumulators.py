@@ -85,7 +85,7 @@ def test_extend_from_any_resume_point_equals_single_run(resume_at, size):
     first = list(accumulate(
         resume_at, [t for t in schedule if t <= resume_at], segment_size=size
     ))
-    extended = list(accumulators.extend(first, n_max, schedule, segment_size=size))
+    extended = list(accumulate(n_max, schedule, segment_size=size, rows=first))
     assert extended == list(accumulate(n_max, schedule))
 
 
@@ -103,7 +103,7 @@ def test_schedule_validation():
 
 def test_resume_matches_single_run():
     first = list(accumulate(10**4, [10**3, 10**4]))
-    extended = list(accumulators.extend(first, 10**5, [10**5]))
+    extended = list(accumulate(10**5, [10**5], rows=first))
     full = list(accumulate(10**5, [10**3, 10**4, 10**5]))
     assert extended == full
 
@@ -115,7 +115,7 @@ def test_a_stream_sieves_no_further_than_its_last_threshold(sieved):
     assert rows == list(accumulate(2**10, [2**10]))
     # a resume that adds no threshold has nothing to sieve
     sieved.clear()
-    assert list(accumulators.extend(rows, 2**20, [2**10])) == rows
+    assert list(accumulate(2**20, [2**10], rows=rows)) == rows
     assert sieved == []
 
 
@@ -124,7 +124,7 @@ def test_resume_sieves_only_from_the_resume_segment(sieved):
     schedule = list(range(1000, n_max + 1, 1000))
     first = list(accumulate(60_000, schedule[:60], segment_size=size))
     full = list(accumulate(n_max, schedule, segment_size=size))
-    extended = list(accumulators.extend(first, n_max, schedule, segment_size=size))
+    extended = list(accumulate(n_max, schedule, segment_size=size, rows=first))
     segs = sieved.stream()
     # the resumed stream spans about 20 segments of 2048 integers, and the
     # first begins at the resume point
@@ -161,7 +161,7 @@ def test_no_segment_outlives_the_next_sieve(monkeypatch):
     assert sum(1 for _ in accumulate(n, schedule)) == len(schedule)
     first = list(accumulate(n // 3, schedule[: len(schedule) // 3],
                             segment_size=2**16))
-    extended = list(accumulators.extend(first, n, schedule, segment_size=2**16))
+    extended = list(accumulate(n, schedule, segment_size=2**16, rows=first))
     assert len(extended) == len(schedule)
     assert held == []
 
@@ -263,16 +263,29 @@ class TestCheckpointFile:
         for v in vals:
             assert float(f"{v:.16E}") == v
 
-    def test_a_row_is_formatted_again_when_a_zero_changes_sign(self):
+    def test_a_row_is_formatted_again_when_a_zero_changes_sign(
+            self, tmp_path, monkeypatch):
         # -0.0 == 0.0, but the two print differently
         a = SumCheckpoint(3, 1, 0.5, 0.0, 0.5, 0.0, 1.0, 0.0)
         rows = [a, a._replace(x=4), a._replace(x=5, logp_comp=-0.0),
                 a._replace(x=6, logp_comp=-0.0), a._replace(x=7, pi=2)]
-        texts = list(accumulators.with_text(rows, lambda c: f"{c.pi} {c.logp_comp}"))
-        assert [c for c, _ in texts] == rows
-        assert [t for _, t in texts] == ["1 0.0", "1 0.0", "1 -0.0", "1 -0.0", "2 0.0"]
-        # the text of a repeated row is the same object, not a new string
-        assert texts[0][1] is texts[1][1]
+        calls = []
+        fmt = accumulators._fmt
+        monkeypatch.setattr(accumulators, "_fmt",
+                            lambda v: calls.append(v) or fmt(v))
+        echoed = []
+        path = tmp_path / "cp.csv"
+        n = write_checkpoints(rows, path, echo=lambda c, f: echoed.append((c, f)))
+        assert n == 5 and [c for c, _ in echoed] == rows
+        lines = path.read_text().splitlines()[1:]
+        assert [(ln.split(",")[1], ln.split(",")[5]) for ln in lines] == [
+            ("1", fmt(0.0)), ("1", fmt(0.0)), ("1", fmt(-0.0)),
+            ("1", fmt(-0.0)), ("2", fmt(0.0))]
+        # three distinct rows, six reals each
+        assert len(calls) == 18
+        # the fields of a repeated row are the same object, not new strings
+        assert echoed[0][1] is echoed[1][1]
+        assert echoed[2][1] is echoed[3][1]
 
     def test_file_round_trip_bit_exact(self, tmp_path):
         series = list(accumulate(2**16, [2**10, 2**16]))
@@ -321,7 +334,7 @@ CARRY_FILE = (
 def test_resume_from_a_file_with_a_rounding_carry(tmp_path):
     path = tmp_path / "cp.csv"
     path.write_text(CARRY_FILE)
-    extended = list(accumulators.extend(load_checkpoints(path), 2**17, [2**17]))
+    extended = list(accumulate(2**17, [2**17], rows=load_checkpoints(path)))
     got = extended[-1]
     want = list(accumulate(2**17, [2**17]))[0]
     assert got.pi == want.pi
@@ -846,7 +859,7 @@ def test_a_failed_save_keeps_the_old_file(where, tmp_path, monkeypatch):
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["cp.csv"]
     monkeypatch.undo()
-    extended = list(accumulators.extend(load_checkpoints(path), 2**20, schedule))
+    extended = list(accumulate(2**20, schedule, rows=load_checkpoints(path)))
     assert extended == list(accumulate(2**20, schedule))
 
 
@@ -887,7 +900,7 @@ def test_a_threshold_at_every_integer(size, kind):
             rows[pi] = vals
         assert vals == rows[pi]
     half = series[: n // 2]
-    extended = list(accumulators.extend(half, n, schedule, segment_size=size))
+    extended = list(accumulate(n, schedule, segment_size=size, rows=half))
     assert extended == series
 
 

@@ -3,10 +3,12 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -669,3 +671,29 @@ def test_a_resume_that_would_drop_rows_keeps_the_old_file(
     assert all(text in err for text in named), err
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["cp.csv"]
+
+
+def test_sigterm_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    # SIGTERM exits through Python, so open_atomic's finally removes the
+    # temporary file; by default the signal ended the process at once
+    path = tmp_path / "cp.csv"
+    path.write_bytes(b"old\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mertens.cli", "sums", "--max", "2^30",
+         "--checkpoints", str(path)],
+        stdout=subprocess.DEVNULL, env={**os.environ, "PYTHONPATH": src})
+    try:
+        tmp = tmp_path / f"cp.csv.{child.pid}.tmp"
+        deadline = time.monotonic() + 60
+        while not tmp.exists() and child.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert tmp.exists() and child.poll() is None
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        child.kill()
+        child.wait()
+    assert os.listdir(tmp_path) == ["cp.csv"]
+    assert path.read_bytes() == b"old\n"
