@@ -203,7 +203,9 @@ def accumulate(
     n_max = int(n_max)
     check_budget(n_max, force)
     schedule = np.asarray(schedule, dtype=np.int64)
-    if (schedule[1:] <= schedule[:-1]).any():
+    # in slices that overlap by one, so no temporary is as long as the schedule
+    if any((s[1:] <= s[:-1]).any() for s in (
+            schedule[k : k + CUTS + 1] for k in range(0, schedule.size, CUTS))):
         raise ValueError("schedule must be strictly ascending")
     if schedule.size and schedule[-1] > n_max:
         raise ValueError(f"schedule exceeds n_max={n_max}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import itertools
 import json
 import os
 import signal
@@ -28,9 +29,9 @@ OUTPUT_DIR_ENV = "MERTENS_OUT_DIR"
 
 POW2_FIRST = 16
 # The most thresholds a schedule may have.  sums streams its rows and holds 8
-# bytes a threshold, but the full verify suite holds a row and its reports,
-# about 3.1 kB a threshold: every threshold to 2^12, 2^14 and 2^16 peaked at
-# 41.6, 77.0 and 235.5 MB, so 2^20 thresholds would take about 3.3 GB.
+# bytes a threshold; verify prints each report as it is made but holds the
+# rows, about 0.25 kB a threshold: every threshold to 2^12, 2^14, 2^16 and
+# 2^17 peaked at 32.0, 35.4, 49.1 and 65.1 MB, so 2^20 would take about 0.3 GB.
 MAX_CHECKPOINTS = 1 << 20
 # --workers is accepted so that existing command lines keep working.  It has
 # no effect until the process pool of ROADMAP item 8 lands.
@@ -82,11 +83,14 @@ def _check_workers(workers: int) -> int:
     return workers
 
 
-# Both are checked at parse time: a bad --workers exits 2 before any sieve,
-# and a bad --prime-limit, with or without --oracle, before compute_B.
+# All three are checked at parse time: a bad --workers or --only exits 2
+# before any sieve, and a bad --prime-limit, with or without --oracle, before
+# compute_B.
 parse_workers = _checked_at_parse_time(lambda t: _check_workers(int(t)))
 parse_prime_limit = _checked_at_parse_time(
     lambda t: constants.check_prime_limit(parse_scale(t)))
+parse_only = _checked_at_parse_time(
+    lambda t: verifier.select_checks(t.split(",") if t else None))
 
 
 def parse_schedule(spec: str, n_max: int) -> np.ndarray:
@@ -176,39 +180,40 @@ def _series_for_verify(args):
     return rows
 
 
-def _report_lines(reports, rows):
-    """Yield the report's lines one at a time: the rows, if any, then each
-    report, then the count of checks run and failed."""
-    if rows:
-        yield "x,true_error,schoenfeld_bound,ratio,signed_error"
-        for r in rows:
-            yield ",".join([str(r.x), *map(_fmt, r[1:])])
-    for rep in reports:
-        params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
-        yield (f"{'PASS' if rep.passed else 'FAIL'} {rep.name} {params} "
-               f"observed={_fmt(rep.observed)} bound={_fmt(rep.bound)} "
-               f"margin={_fmt(rep.margin)}")
-    n_fail = sum(not r.passed for r in reports)
-    yield f"checks: {len(reports)} run, {n_fail} failed"
-
-
 def cmd_verify(args) -> int:
     # compute_B checks --tol, so a bad value fails before any sieving
     bundle = constants.compute_B(args.tol)
     series = _series_for_verify(args)
-    only = args.only.split(",") if args.only else None
-    reports, rows = verifier.run_suite(series, bundle, only=only)
-    if not reports:
+    reports = verifier.run_suite(series, bundle, only=args.only)
+    first = next(reports, None)
+    if first is None:
         raise UsageError("no check applies to these thresholds")
+    # the table's rows from 2^16 on, then each report as its check makes it
+    table = (r for r in verifier.error_table(series, bundle.B.value) if r.x >= 2**16) \
+        if args.wolf_table and "table" in args.only else ()
+    run = failed = 0
     # each line goes to stdout and to the report as it is formatted; the
     # report replaces its old bytes only once the last line is written
     with accumulators.open_atomic(_out_path(args.report)) if args.report \
             else contextlib.nullcontext() as fh:
-        for line in _report_lines(reports, rows if args.wolf_table else []):
+        def emit(line):
             print(line)
             if fh:
                 print(line, file=fh)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_BOUND_FAILED
+
+        for i, r in enumerate(table):
+            if not i:
+                emit("x,true_error,schoenfeld_bound,ratio,signed_error")
+            emit(",".join([str(r.x), *map(_fmt, r[1:])]))
+        for rep in itertools.chain([first], reports):
+            params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
+            emit(f"{'PASS' if rep.passed else 'FAIL'} {rep.name} {params} "
+                 f"observed={_fmt(rep.observed)} bound={_fmt(rep.bound)} "
+                 f"margin={_fmt(rep.margin)}")
+            run += 1
+            failed += not rep.passed
+        emit(f"checks: {run} run, {failed} failed")
+    return EXIT_BOUND_FAILED if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", help="checkpoint file to load or write")
     p.add_argument("--report", help="write the report to this file too")
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--only", help="comma list of checks "
-                   f"({','.join(verifier.CHECK_NAMES)})")
+    p.add_argument("--only", type=parse_only, default=verifier.CHECK_NAMES,
+                   help=f"comma list of checks ({','.join(verifier.CHECK_NAMES)})")
     p.add_argument("--wolf-table", action="store_true")
     p.add_argument("--workers", type=parse_workers, default=1,
                    help=WORKERS_HELP)

@@ -1,7 +1,7 @@
 """Explicit inequality, identity, and table checks over computed prime data.
 
-Each check returns BoundReports: claimed bound, observed value, margin,
-pass/fail.  A report's verdict is always recomputable from (observed,
+Each check returns or yields BoundReports: claimed bound, observed value,
+margin, pass/fail.  A report's verdict is always recomputable from (observed,
 bound) alone: it passes iff its margin is at least 0.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -66,14 +66,12 @@ def _upto(p: np.ndarray, x) -> np.ndarray:
 
 # --- Grossehilfsatz 1: |sum ln p / p - ln x| < 2 ------------------------
 
-def check_grossehilfsatz1(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
-    reports = []
+def check_grossehilfsatz1(series: Iterable[SumCheckpoint]) -> Iterator[BoundReport]:
     for cp in series:
         if cp.x < 2:
             continue
         R = cp.logp_over_p - math.log(cp.x)
-        reports.append(_report("grossehilfsatz1", {"x": cp.x}, R, 2.0))
-    return reports
+        yield _report("grossehilfsatz1", {"x": cp.x}, R, 2.0)
 
 
 # --- Chebyshev theta bounds ---------------------------------------------
@@ -83,18 +81,15 @@ CHEBYSHEV_LOWER = 0.904
 CHEBYSHEV_UPPER = 1.113
 
 
-def check_theta(series: Sequence[SumCheckpoint]) -> list[BoundReport]:
-    reports = []
+def check_theta(series: Iterable[SumCheckpoint]) -> Iterator[BoundReport]:
     for cp in series:
         if cp.x < 2:
             continue
-        reports.append(_report("theta_lt_2x", {"x": cp.x}, cp.theta, 2.0 * cp.x))
+        yield _report("theta_lt_2x", {"x": cp.x}, cp.theta, 2.0 * cp.x)
         if cp.x >= CHEBYSHEV_BAND_MIN_X:
             # two-sided band, reported as the distance into the band
             lo, hi = CHEBYSHEV_LOWER * cp.x, CHEBYSHEV_UPPER * cp.x
-            reports.append(_report(
-                "chebyshev_band", {"x": cp.x}, cp.theta, hi, lo=lo, hi=hi))
-    return reports
+            yield _report("chebyshev_band", {"x": cp.x}, cp.theta, hi, lo=lo, hi=hi)
 
 
 # --- chi(x) - chi(x/2) < x ----------------------------------------------
@@ -220,7 +215,7 @@ def check_legendre_factorial(n: int, p: np.ndarray) -> BoundReport:
 # --- Abel summation identity with pi(x) ---------------------------------
 
 def check_abel_pi_identity(series: Sequence[SumCheckpoint],
-                           p: np.ndarray) -> list[BoundReport]:
+                           p: np.ndarray) -> Iterator[BoundReport]:
     series = [cp for cp in series if cp.x >= 2]
     # The primes to the largest threshold; each checkpoint takes a prefix.
     all_p = _upto(p, max((cp.x for cp in series), default=0))
@@ -240,13 +235,11 @@ def check_abel_pi_identity(series: Sequence[SumCheckpoint],
         sums = accumulators.exact_sum(pieces, ends)
         _, *at_cuts, total = itertools.accumulate(sums, initial=total)
         heads.update(zip(inside, at_cuts))
-    reports = []
     for cp, k in zip(series, ks):
         last = k * (1.0 / float(all_p[k - 1]) - 1.0 / cp.x)
         rhs = k / cp.x + _round_once(heads[k] + accumulators._units(last))
         rel = abs(cp.recip_sum - rhs) / cp.recip_sum
-        reports.append(_report("abel_pi_identity", {"x": cp.x}, rel, 1e-10))
-    return reports
+        yield _report("abel_pi_identity", {"x": cp.x}, rel, 1e-10)
 
 
 # --- Remainder identity and its bound -----------------------------------
@@ -316,7 +309,6 @@ def check_mertens_product(G: int, p: np.ndarray) -> BoundReport:
 # --- Mertens error table and delta bounds --------------------------------
 
 DUSART_UPPER_MIN_X = 10372
-SCHOENFELD_MIN_X = 13.5
 
 
 def _dusart_width(x: float) -> float:
@@ -324,48 +316,42 @@ def _dusart_width(x: float) -> float:
     return 1.0 / (10 * lx**2) + 4.0 / (15 * lx**3)
 
 
-def mertens_error_table(series: Sequence[SumCheckpoint], bundle: ConstantsBundle):
-    """Per-checkpoint true error vs the RH-conditional bound, plus the
-    Mertens, modern, and Dusart delta checks.
-
-    Returns (rows, reports).  Rows are kept for x >= 2^16; their errors
-    are as defined on ErrorTableRow, with no published convention (no
-    1/(2x) offset, no truncated B) applied.
+def error_table(series: Iterable[SumCheckpoint], B: float) -> Iterator[ErrorTableRow]:
+    """The ErrorTableRow of each checkpoint x >= 16, with no published
+    convention (no 1/(2x) offset, no truncated B) applied.
 
     The Schoenfeld comparison is an empirical observation (the bound is
     conditional on RH), never a proof.
     """
-    B = bundle.B.value
-    rows = []
-    reports = []
     for cp in series:
         if cp.x < 16:
             continue
-        x = float(cp.x)
-        lx = math.log(x)
+        lx = math.log(cp.x)
         signed = cp.recip_sum - math.log(lx) - B
+        schoenfeld = (3 * lx + 4) / (8 * math.pi * math.sqrt(cp.x))
         true_err = abs(signed)
-        schoenfeld = (3 * lx + 4) / (8 * math.pi * math.sqrt(x))
-        if x >= 2**16:
-            rows.append(ErrorTableRow(
-                cp.x, true_err, schoenfeld, true_err / schoenfeld, signed))
+        yield ErrorTableRow(cp.x, true_err, schoenfeld, true_err / schoenfeld, signed)
+
+
+def mertens_error_table(series: Iterable[SumCheckpoint],
+                        bundle: ConstantsBundle) -> Iterator[BoundReport]:
+    """The Mertens, modern, Dusart and Schoenfeld delta checks at each row
+    of the error table."""
+    for row in error_table(series, bundle.B.value):
+        x, signed = float(row.x), row.signed_error
+        lx = math.log(x)
         # Mertens (1.2), stated with ln ln [x]: x is an integer, so that is
         # ln ln x, and the delta is ``signed``
         bound_mertens = 4.0 / math.log(x + 1) + 2.0 / (x * lx)
-        reports.append(_report("mertens_delta", {"x": cp.x}, signed, bound_mertens))
-        reports.append(_report("modern_delta", {"x": cp.x}, signed, 4.0 / lx))
+        yield _report("mertens_delta", {"x": row.x}, signed, bound_mertens)
+        yield _report("modern_delta", {"x": row.x}, signed, 4.0 / lx)
         width = _dusart_width(x)
-        reports.append(_report(
-            "dusart_lower", {"x": cp.x}, signed, -width, lo=-width, hi=math.inf,
-        ))
+        yield _report(
+            "dusart_lower", {"x": row.x}, signed, -width, lo=-width, hi=math.inf)
         if x >= DUSART_UPPER_MIN_X:
-            reports.append(_report(
-                "dusart_upper", {"x": cp.x}, signed, width, lo=-math.inf,
-            ))
-        if x >= SCHOENFELD_MIN_X:
-            # RH-conditional: an empirical observation only, never a proof
-            reports.append(_report("schoenfeld_rh", {"x": cp.x}, signed, schoenfeld))
-    return rows, reports
+            yield _report("dusart_upper", {"x": row.x}, signed, width, lo=-math.inf)
+        # RH-conditional: an empirical observation only, never a proof
+        yield _report("schoenfeld_rh", {"x": row.x}, signed, row.schoenfeld_bound)
 
 
 # --- Suite driver --------------------------------------------------------
@@ -376,18 +362,26 @@ CHECK_NAMES = (
 )
 
 
-def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
-              only=None):
-    """Run the full verification suite over a checkpoint series.
-
-    Returns (reports, table_rows).  ``only`` restricts to a subset of
-    CHECK_NAMES.  The checks that need primes take them from one sieve, to
-    the largest x that the selected ones reach, released on return.
-    """
+def select_checks(only=None) -> set[str]:
+    """The checks that ``only`` names, or all CHECK_NAMES if it names none;
+    a ValueError names those that are not checks."""
     want = set(only) if only else set(CHECK_NAMES)
     unknown = want - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    return want
+
+
+def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
+              only=None) -> Iterator[BoundReport]:
+    """Yield the reports of the verification suite over a checkpoint
+    series, each as its check makes it.
+
+    ``only`` restricts to a subset of CHECK_NAMES.  The checks that need
+    primes take them from one sieve, to the largest x that the selected ones
+    reach, released when the suite is done.
+    """
+    want = select_checks(only)
     x_max = max((cp.x for cp in series), default=0)
     abel_series = [cp for cp in series if cp.x <= 2**20]
     # where each check that needs primes runs, each x once (x_max may be a
@@ -401,30 +395,26 @@ def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
     }
     limit = max((x for name in want & at.keys() for x in at[name]), default=0)
     p = primes.primes_up_to(limit) if limit else np.empty(0, dtype=np.int64)
-    reports: list[BoundReport] = []
-    rows: list[ErrorTableRow] = []
     if "grossehilfsatz1" in want:
-        reports += check_grossehilfsatz1(series)
+        yield from check_grossehilfsatz1(series)
     if "theta" in want:
-        reports += check_theta(series)
+        yield from check_theta(series)
     if "chi" in want:
-        reports += [check_chi_inequality(x, p) for x in at["chi"]]
+        yield from (check_chi_inequality(x, p) for x in at["chi"])
     if "stirling" in want:
         for x in (4.0, 5.0, 100.0, 10**4):
-            reports += check_stirling(x)
+            yield from check_stirling(x)
     if "legendre" in want:
-        reports += [check_legendre_factorial(n, p) for n in at["legendre"]]
+        yield from (check_legendre_factorial(n, p) for n in at["legendre"])
     if "abel" in want:
-        reports += check_abel_pi_identity(abel_series, p)
+        yield from check_abel_pi_identity(abel_series, p)
     if "remainder" in want:
         for G in at["remainder"]:
             for rho in (1.0, 0.5, 0.1):
-                reports.append(check_remainder_identity(G, rho, p))
+                yield check_remainder_identity(G, rho, p)
     if "grossehilfsatz2" in want:
-        reports += check_grossehilfsatz2(10**4, [1e-2, 1e-3, 1e-4])
+        yield from check_grossehilfsatz2(10**4, [1e-2, 1e-3, 1e-4])
     if "product" in want:
-        reports += [check_mertens_product(G, p) for G in at["product"]]
+        yield from (check_mertens_product(G, p) for G in at["product"])
     if "table" in want:
-        rows, table_reports = mertens_error_table(series, bundle)
-        reports += table_reports
-    return reports, rows
+        yield from mertens_error_table(series, bundle)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mertens import accumulators, cli, constants, primes, verifier
+from mertens import accumulators, cli, primes, verifier
 from mertens.cli import (
     EXIT_BOUND_FAILED,
     EXIT_OK,
@@ -404,21 +404,45 @@ def _traced_peak(fn):
 
 
 def test_verify_holds_no_report_text_beside_its_reports():
-    # each line is written as it is formatted: the dense run peaks within
-    # 1 MiB of its rows and reports alone, where the lines and their joined
-    # text took 6.1 MiB more
-    argv = ["verify", "--max", "2^14", "--schedule", "1..2^14:1", "--only", "theta"]
-    bundle = constants.compute_B(1e-12)
+    # each report is printed as its check makes it, and the table's rows as
+    # they are made: the full suite over every threshold to 2^14 peaks
+    # within 1 MiB of its list of rows alone, where its reports and its
+    # table, held until the first line was printed, took about 39 MiB more
+    argv = ["verify", "--max", "2^14", "--schedule", "1..2^14:1", "--wolf-table"]
 
-    def rows_and_reports():
-        series = list(accumulators.accumulate(2**14, parse_schedule(argv[4], 2**14)))
-        verifier.run_suite(series, bundle, only=["theta"])
+    def rows():
+        list(accumulators.accumulate(2**14, parse_schedule(argv[4], 2**14)))
 
     def verify():
         with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
             assert main(argv) == EXIT_OK
 
-    assert _traced_peak(verify) - _traced_peak(rows_and_reports) <= 1 << 20
+    assert _traced_peak(verify) - _traced_peak(rows) <= 1 << 20
+
+
+def test_a_failed_bound_is_printed_counted_and_exits_1(tmp_path, monkeypatch, capsys):
+    # theta(x)/x is about 0.99 at 2^16 and 2^17: a band up to 0.95 x fails
+    monkeypatch.setattr(verifier, "CHEBYSHEV_UPPER", 0.95)
+    report = tmp_path / "r.txt"
+    argv = ["verify", "--max", "2^17", "--only", "theta", "--report", str(report)]
+    assert main(argv) == EXIT_BOUND_FAILED
+    out = capsys.readouterr().out
+    assert report.read_text() == out
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["PASS", "theta_lt_2x"], ["FAIL", "chebyshev_band"]] * 2
+    assert lines[-1] == "checks: 4 run, 2 failed"
+
+
+def test_an_unknown_check_exits_2_before_any_sieve(monkeypatch, capsys):
+    # --only is checked at parse time, as --workers is: it sieved to --max
+    # and only then exited 2
+    def fail(*args, **kwargs):
+        raise AssertionError("a segment was sieved")
+
+    monkeypatch.setattr(primes, "_sieve_segment", fail)
+    assert main(["verify", "--max", "2^28", "--only", "theta,nope"]) == EXIT_USAGE
+    assert "unknown checks: ['nope']" in capsys.readouterr().err
 
 
 # --- parse_scale and parse_schedule: round trips, and exit 2 on bad input --
