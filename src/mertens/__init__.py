@@ -15,7 +15,8 @@ from .special import (
     prime_zeta,
     zeta,
 )
-from .verifier import BoundReport, ErrorTableRow, mertens_error_table, run_suite
+from .verifier import (BoundReport, ErrorTableRow, error_table,
+                       mertens_error_table, run_suite)
 
 __all__ = [
     "BoundReport",
@@ -27,6 +28,7 @@ __all__ = [
     "accumulate",
     "compute_B",
     "compute_H",
+    "error_table",
     "euler_gamma",
     "exp_integral_e1",
     "load_checkpoints",

@@ -188,9 +188,9 @@ def cmd_verify(args) -> int:
     first = next(reports, None)
     if first is None:
         raise UsageError("no check applies to these thresholds")
-    # the table's rows from 2^16 on, then each report as its check makes it
-    table = (r for r in verifier.error_table(series, bundle.B.value) if r.x >= 2**16) \
-        if args.wolf_table and "table" in args.only else ()
+    # the table's rows, if the table is checked, then each report as it is made
+    rows = verifier.error_table(series, bundle.B.value, verifier.WOLF_TABLE_MIN_X)
+    first_row = next(rows, None) if args.wolf_table and "table" in args.only else None
     run = failed = 0
     # each line goes to stdout and to the report as it is formatted; the
     # report replaces its old bytes only once the last line is written
@@ -201,10 +201,10 @@ def cmd_verify(args) -> int:
             if fh:
                 print(line, file=fh)
 
-        for i, r in enumerate(table):
-            if not i:
-                emit("x,true_error,schoenfeld_bound,ratio,signed_error")
-            emit(",".join([str(r.x), *map(_fmt, r[1:])]))
+        if first_row is not None:
+            emit("x,true_error,schoenfeld_bound,ratio,signed_error")
+            for r in itertools.chain([first_row], rows):
+                emit(",".join([str(r.x), *map(_fmt, r[1:])]))
         for rep in itertools.chain([first], reports):
             params = " ".join(f"{k}={v}" for k, v in sorted(rep.params.items()))
             emit(f"{'PASS' if rep.passed else 'FAIL'} {rep.name} {params} "

@@ -191,9 +191,8 @@ def check_stirling(x: float) -> list[BoundReport]:
         + TWO_PI_LOG_ROOT + math.log(2) - 2 / (x - 2)
     )
     # lower bound: 2 ln([x/2]!) > lower, report the (positive) gap
-    reports.append(_report(
-        "stirling_lower", {"x": x}, 2 * lf_half, lower, lo=lower, hi=math.inf,
-    ))
+    reports.append(_report("stirling_lower", {"x": x}, 2 * lf_half, lower,
+                           lo=lower, hi=math.inf))
     if n >= 5:
         reports.append(_report("stirling_lambda", {"n": n}, lam, 1.0))
     return reports
@@ -309,6 +308,7 @@ def check_mertens_product(G: int, p: np.ndarray) -> BoundReport:
 # --- Mertens error table and delta bounds --------------------------------
 
 DUSART_UPPER_MIN_X = 10372
+WOLF_TABLE_MIN_X = 2**16  # the first x of the rows verify --wolf-table prints
 
 
 def _dusart_width(x: float) -> float:
@@ -316,15 +316,16 @@ def _dusart_width(x: float) -> float:
     return 1.0 / (10 * lx**2) + 4.0 / (15 * lx**3)
 
 
-def error_table(series: Iterable[SumCheckpoint], B: float) -> Iterator[ErrorTableRow]:
-    """The ErrorTableRow of each checkpoint x >= 16, with no published
-    convention (no 1/(2x) offset, no truncated B) applied.
+def error_table(series: Iterable[SumCheckpoint], B: float,
+                min_x: int = 16) -> Iterator[ErrorTableRow]:
+    """The ErrorTableRow of each checkpoint x >= max(min_x, 16), with no
+    published convention (no 1/(2x) offset, no truncated B) applied.
 
     The Schoenfeld comparison is an empirical observation (the bound is
     conditional on RH), never a proof.
     """
     for cp in series:
-        if cp.x < 16:
+        if cp.x < max(min_x, 16):
             continue
         lx = math.log(cp.x)
         signed = cp.recip_sum - math.log(lx) - B
@@ -345,11 +346,10 @@ def mertens_error_table(series: Iterable[SumCheckpoint],
         bound_mertens = 4.0 / math.log(x + 1) + 2.0 / (x * lx)
         yield _report("mertens_delta", {"x": row.x}, signed, bound_mertens)
         yield _report("modern_delta", {"x": row.x}, signed, 4.0 / lx)
-        width = _dusart_width(x)
-        yield _report(
-            "dusart_lower", {"x": row.x}, signed, -width, lo=-width, hi=math.inf)
+        w = _dusart_width(x)
+        yield _report("dusart_lower", {"x": row.x}, signed, -w, lo=-w, hi=math.inf)
         if x >= DUSART_UPPER_MIN_X:
-            yield _report("dusart_upper", {"x": row.x}, signed, width, lo=-math.inf)
+            yield _report("dusart_upper", {"x": row.x}, signed, w, lo=-math.inf)
         # RH-conditional: an empirical observation only, never a proof
         yield _report("schoenfeld_rh", {"x": row.x}, signed, row.schoenfeld_bound)
 
@@ -366,8 +366,7 @@ def select_checks(only=None) -> set[str]:
     """The checks that ``only`` names, or all CHECK_NAMES if it names none;
     a ValueError names those that are not checks."""
     want = set(only) if only else set(CHECK_NAMES)
-    unknown = want - set(CHECK_NAMES)
-    if unknown:
+    if unknown := want - set(CHECK_NAMES):
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     return want
 
@@ -377,9 +376,10 @@ def run_suite(series: Sequence[SumCheckpoint], bundle: ConstantsBundle,
     """Yield the reports of the verification suite over a checkpoint
     series, each as its check makes it.
 
-    ``only`` restricts to a subset of CHECK_NAMES.  The checks that need
-    primes take them from one sieve, to the largest x that the selected ones
-    reach, released when the suite is done.
+    ``only`` restricts to a subset of CHECK_NAMES, and a name that is none
+    raises ValueError at the first iteration, not at the call.  The checks
+    that need primes take them from one sieve, to the largest x that the
+    selected ones reach, released when the suite is done.
     """
     want = select_checks(only)
     x_max = max((cp.x for cp in series), default=0)

@@ -194,11 +194,13 @@ class TestVerify:
         assert out.count("\n65536,") + out.count("\n131072,") == 2
 
     def test_only_filter(self, capsys):
+        # --wolf-table prints the table's rows only if the table is checked
         rc = main(["verify", "--max", "1e6", "--schedule", "1e6",
-                   "--only", "grossehilfsatz1"])
+                   "--only", "grossehilfsatz1", "--wolf-table"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "grossehilfsatz1" in out and "theta" not in out
+        assert "x,true_error" not in out and "1000000," not in out
 
     def test_missing_inputs(self, capsys):
         assert main(["verify"]) == EXIT_USAGE

@@ -289,7 +289,7 @@ class TestMertensProduct:
 
 class TestErrorTable:
     def test_rows_and_reports(self, small_series, bundle):
-        rows = [r for r in error_table(small_series, bundle.B.value) if r.x >= 2**16]
+        rows = list(error_table(small_series, bundle.B.value, verifier.WOLF_TABLE_MIN_X))
         reports = list(mertens_error_table(small_series, bundle))
         assert [r.x for r in rows] == [2**16, 2**20]
         for row in rows:
